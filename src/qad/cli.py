@@ -78,8 +78,10 @@ def _emit_lines(lines, out_path):
 
 
 def _default_threads() -> int:
-    # permutation loops are GIL-bound numpy-small-op work: extra threads give
-    # identical results (seeded per replicate) but no speedup, so default to 1
+    # replicates run in chunks (one bincount board stack and one stacked zeta1
+    # per chunk); --threads maps chunks over a thread pool.  Results are seeded
+    # per replicate and do not depend on it; on 2 cores threads = 2 measured
+    # no faster than 1, so default to 1
     env = os.environ.get("QAD_THREADS")
     if env:
         try:
@@ -488,6 +490,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if getattr(args, "threads", None) is not None and args.threads < 1:
         _log("error: --threads must be >= 1")
+        return EXIT_USAGE
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        _log("error: --seed must be >= 0")
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -306,6 +306,12 @@ def _delta_overlap_matrix(lo, hi, strip_width, resolution):
     return np.diff(frac, axis=1)
 
 
+def _fits_two_strips(lo, hi, strip_width):
+    """Per row of a stack: whether no span exceeds one strip width, so that
+    every rectangle meets at most two strips."""
+    return np.max(hi - lo, axis=-1) <= strip_width
+
+
 def _two_strip_split(lo, hi, strip_width):
     """Strip indices and first-strip weight when every span fits in <= 2 strips."""
     i0 = lo // strip_width
@@ -316,6 +322,29 @@ def _two_strip_split(lo, hi, strip_width):
     return i0, i1, w0
 
 
+def _two_strip_boards(u_split, v_split, masses, resolution):
+    """Cell masses (C, N, N) of a stack of rectangle measures, one bincount.
+
+    ``u_split``/``v_split`` are ``_two_strip_split`` results whose arrays
+    broadcast to (C, m): a side shared by every measure may be passed once as
+    (1, m).  Each board receives its cells' contributions in the same order
+    as it would alone, so a board of the stack is bit-identical to the board
+    computed by itself.
+    """
+    i0, i1, wu = u_split
+    j0, j1, wv = v_split
+    N = resolution
+    C = np.broadcast_shapes(np.shape(i0), np.shape(j0))[0]
+    idx = np.concatenate([ii * N + jj for ii in (i0, i1) for jj in (j0, j1)], axis=1)
+    if C > 1:
+        idx += np.arange(C)[:, None] * (N * N)  # board c owns cells c*N*N onward
+    w = np.concatenate(
+        [masses * wi * wj for wi in (wu, 1.0 - wu) for wj in (wv, 1.0 - wv)], axis=1
+    )
+    flat = np.bincount(idx.ravel(), weights=w.ravel(), minlength=C * N * N)
+    return flat.reshape(C, N, N)
+
+
 def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
     """Cell masses of the N-grid aggregation of a rectangle measure.
 
@@ -323,46 +352,58 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
     at multiples of ``strip_width``; overlap fractions are then exact up to
     one rounding each.
     """
-    n_cells = resolution * resolution
-    small_u = int(np.max(hi_u - lo_u)) <= strip_width
-    small_v = int(np.max(hi_v - lo_v)) <= strip_width
-    if small_u and small_v:
-        i0, i1, wu = _two_strip_split(lo_u, hi_u, strip_width)
-        j0, j1, wv = _two_strip_split(lo_v, hi_v, strip_width)
-        idx = np.concatenate(
-            [ii * resolution + jj for ii in (i0, i1) for jj in (j0, j1)]
-        )
-        w = np.concatenate(
-            [
-                masses * wi * wj
-                for wi in (wu, 1.0 - wu)
-                for wj in (wv, 1.0 - wv)
-            ]
-        )
-        flat = np.bincount(idx, weights=w, minlength=n_cells)
-        return flat.reshape(resolution, resolution)
+    if _fits_two_strips(lo_u, hi_u, strip_width) and _fits_two_strips(
+        lo_v, hi_v, strip_width
+    ):
+        return _two_strip_boards(
+            _two_strip_split(lo_u[None], hi_u[None], strip_width),
+            _two_strip_split(lo_v[None], hi_v[None], strip_width),
+            masses,
+            resolution,
+        )[0]
     gu = _delta_overlap_matrix(lo_u, hi_u, strip_width, resolution)
     gv = _delta_overlap_matrix(lo_v, hi_v, strip_width, resolution)
     return (gu * masses[:, None]).T @ gv
 
 
-def _board_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
-    """Checkerboard mass matrix straight from per-element max-ranks.
+def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
+    """Checkerboard mass matrices (C, N, N) straight from per-element max-ranks.
 
-    Element i spreads mass 1/n uniformly on
-    [(R_u - t_u)/n, R_u/n] x [(R_v - t_v)/n, R_v/n]; summing elements of a
-    tied pair reproduces the rectangle masses of the empirical copula.
+    Row c of the (C, n) rank and tie arrays is one sample; a margin shared by
+    every sample may be passed once as (1, n).  Element i spreads mass 1/n
+    uniformly on [(R_u - t_u)/n, R_u/n] x [(R_v - t_v)/n, R_v/n]; summing
+    elements of a tied pair reproduces the rectangle masses of the empirical
+    copula.  Rows whose rectangles all meet at most two strips per axis share
+    one bincount; any other row takes the dense overlap product.
     """
     N = resolution
-    return _aggregate_rects(
-        (ranks_u - ties_u) * N,
-        ranks_u * N,
-        (ranks_v - ties_v) * N,
-        ranks_v * N,
-        np.full(ranks_u.size, 1.0 / n),
-        n,
-        N,
-    )
+    lo_u, hi_u = (ranks_u - ties_u) * N, ranks_u * N
+    lo_v, hi_v = (ranks_v - ties_v) * N, ranks_v * N
+    masses = np.full(n, 1.0 / n)
+    fits = _fits_two_strips(lo_u, hi_u, n) & _fits_two_strips(lo_v, hi_v, n)
+    if fits.all():
+        return _two_strip_boards(
+            _two_strip_split(lo_u, hi_u, n), _two_strip_split(lo_v, hi_v, n), masses, N
+        )
+    lo_u, hi_u, lo_v, hi_v = np.broadcast_arrays(lo_u, hi_u, lo_v, hi_v)
+    boards = np.empty((fits.size, N, N))
+    if fits.any():
+        boards[fits] = _two_strip_boards(
+            _two_strip_split(lo_u[fits], hi_u[fits], n),
+            _two_strip_split(lo_v[fits], hi_v[fits], n),
+            masses,
+            N,
+        )
+    for c in np.flatnonzero(~fits):
+        boards[c] = _aggregate_rects(lo_u[c], hi_u[c], lo_v[c], hi_v[c], masses, n, N)
+    return boards
+
+
+def _board_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
+    """Checkerboard mass matrix of one sample from its max-rank arrays."""
+    return _boards_from_ranks(
+        ranks_u[None], ties_u[None], ranks_v[None], ties_v[None], n, resolution
+    )[0]
 
 
 def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
@@ -414,11 +455,12 @@ def _boundary_cdfs(mass: np.ndarray) -> np.ndarray:
     """Conditional CDF values at cell boundaries, one row per strip.
 
     Entry (i, j) is K(strip i, [0, j/N]) = N * sum_{l <= j} mass[i, l];
-    column 0 is identically zero.
+    column 0 is identically zero.  A (C, N, N) stack of boards gives a
+    (C, N, N + 1) stack.
     """
-    N = mass.shape[0]
-    out = np.zeros((N, N + 1))
-    out[:, 1:] = np.cumsum(mass, axis=1) * N
+    N = mass.shape[-1]
+    out = np.zeros(mass.shape[:-1] + (N + 1,))
+    out[..., 1:] = np.cumsum(mass, axis=-1) * N
     return out
 
 
@@ -443,10 +485,14 @@ def _check_same_resolution(a, b):
         raise ValueError("checkerboards must have equal resolution")
 
 
-def _cells_integral(e: np.ndarray) -> float:
-    N = e.shape[0]
-    base = _abs_linear_cell_base(e[:, :-1], e[:, 1:])
-    return float(base.sum() / (N * N))
+def _cells_integral(e: np.ndarray) -> np.ndarray:
+    """Integral of |K| over the unit square for each (N, N + 1) boundary-value
+    grid of a (C, N, N + 1) stack.  The N * N cells of a grid are summed as one
+    contiguous row, so a grid's value does not depend on the stack around it.
+    """
+    C, N = e.shape[:2]
+    base = _abs_linear_cell_base(e[..., :-1], e[..., 1:])
+    return base.reshape(C, N * N).sum(axis=1) / (N * N)
 
 
 def d1(cb_a, cb_b) -> float:
@@ -457,7 +503,7 @@ def d1(cb_a, cb_b) -> float:
     """
     ma, mb = _mass_of(cb_a), _mass_of(cb_b)
     _check_same_resolution(ma, mb)
-    return _cells_integral(_boundary_cdfs(ma) - _boundary_cdfs(mb))
+    return float(_cells_integral((_boundary_cdfs(ma) - _boundary_cdfs(mb))[None])[0])
 
 
 def _product_boundary_row(resolution: int) -> np.ndarray:
@@ -467,32 +513,31 @@ def _product_boundary_row(resolution: int) -> np.ndarray:
     return row
 
 
-def d1_pi(cb) -> float:
-    """D1 distance from the product copula; attains values in [0, 1/3].
+def _d1_pi_stack(mass: np.ndarray) -> np.ndarray:
+    """D1 distance from the product copula of each board in a (C, N, N) stack.
 
     The product's conditional CDF is the same in every strip, so its boundary
     row is broadcast rather than materialized as a full board; the result is
-    bit-identical to d1(cb, independence board).
+    bit-identical to d1(board, independence board).
     """
-    mass = _mass_of(cb)
-    N = mass.shape[0]
     e = _boundary_cdfs(mass)
-    e -= _product_boundary_row(N)[None, :]
+    e -= _product_boundary_row(mass.shape[-1])
     return _cells_integral(e)
+
+
+def _zeta1_stack(mass: np.ndarray) -> np.ndarray:
+    """zeta1 of each board in a (C, N, N) stack."""
+    return np.minimum(1.0, np.maximum(0.0, 3.0 * _d1_pi_stack(mass)))
+
+
+def d1_pi(cb) -> float:
+    """D1 distance from the product copula; attains values in [0, 1/3]."""
+    return float(_d1_pi_stack(_mass_of(cb)[None])[0])
 
 
 def zeta1(cb) -> float:
     """The dependence measure 3 * D1(A, product); 0 iff independence."""
-    return min(1.0, max(0.0, 3.0 * d1_pi(cb)))
-
-
-def _zeta1_mass(mass: np.ndarray) -> float:
-    # identical code path as the public zeta1, minus object wrapping
-    N = mass.shape[0]
-    e = _boundary_cdfs(mass)
-    e -= _product_boundary_row(N)[None, :]
-    val = 3.0 * _cells_integral(e)
-    return min(1.0, max(0.0, val))
+    return float(_zeta1_stack(_mass_of(cb)[None])[0])
 
 
 def transpose(cb: CheckerboardCopula) -> CheckerboardCopula:

@@ -9,7 +9,9 @@ permutation p-values for dependence and for symmetry of the dependence.
 Randomness is drawn from numpy's seeded PCG64 generator.  Replicate b of
 test stream t uses ``SeedSequence(entropy=seed, spawn_key=(t, b))`` (t = 0 for
 the dependence test, t = 1 for the asymmetry test), which makes results
-reproducible and independent of evaluation order or thread count.
+reproducible and independent of evaluation order or thread count.  Replicates
+are evaluated in chunks: one bincount builds the boards of a chunk and zeta1
+runs on the stack, with the same arithmetic per board as a single estimate.
 """
 
 from __future__ import annotations
@@ -23,8 +25,12 @@ import numpy as np
 from .copula import (
     BivariateSample,
     _board_from_ranks,
+    _boards_from_ranks,
+    _fits_two_strips,
     _max_ranks,
-    _zeta1_mass,
+    _two_strip_boards,
+    _two_strip_split,
+    _zeta1_stack,
     checkerboard_aggregate,
     empirical_copula,
     pseudo_observations,
@@ -44,6 +50,11 @@ __all__ = [
 DEPENDENCE_STREAM = 0
 ASYMMETRY_STREAM = 1
 
+#: Sample elements per chunk of permutation replicates (16 replicates at
+#: n = 1000).  A chunk's boards come from one bincount over (replicate, cell);
+#: larger chunks raise peak memory and measured no faster.
+CHUNK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class QadOptions:
@@ -62,6 +73,8 @@ class QadOptions:
     def __post_init__(self):
         if self.permutations < 0:
             raise ValueError("permutations must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.resolution_override is not None and self.resolution_override < 1:
             raise ValueError("resolution override must be >= 1")
         if self.threads < 1:
@@ -129,32 +142,109 @@ def _derived_rng(seed: int, stream: int, replicate: int) -> np.random.Generator:
     )
 
 
-def _rank_rep(sample: BivariateSample):
+def _q_pairs(boards: np.ndarray) -> np.ndarray:
+    """(q_xy, q_yx) of each board in a (C, N, N) stack; q_yx from the transposes."""
+    return np.stack([_zeta1_stack(boards), _zeta1_stack(boards.transpose(0, 2, 1))], axis=1)
+
+
+def _replicate_chunks(B: int, n: int, resolution: int):
+    """Replicate index ranges, each holding about CHUNK_ELEMENTS sample elements
+    (or board cells, when the board is larger than the sample)."""
+    size = max(1, CHUNK_ELEMENTS // max(n, resolution * resolution))
+    return [range(start, min(start + size, B)) for start in range(0, B, size)]
+
+
+def _run_replicates(chunk_q, B: int, n: int, resolution: int, threads: int) -> np.ndarray:
+    """(B, 2) replicate (q_xy, q_yx) pairs from ``chunk_q(range) -> (C, 2)``.
+
+    Replicate seeds make any schedule equivalent, so with ``threads > 1`` the
+    chunks are mapped over a thread pool.
+    """
+    chunks = _replicate_chunks(B, n, resolution)
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            parts = list(pool.map(chunk_q, chunks))
+    else:
+        parts = [chunk_q(chunk) for chunk in chunks]
+    return np.concatenate(parts)
+
+
+def _p_value(exceedances, B: int) -> float:
+    return (1 + int(exceedances)) / (B + 1)
+
+
+def _dependence_replicates(sample, permutations, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test.
+
+    The x-side strip split is computed once; replicate b gathers the y-side
+    split through its permutation of the rows.
+    """
+    n = sample.n
     ru, tu = _max_ranks(sample.xs)
     rv, tv = _max_ranks(sample.ys)
-    return ru, tu, rv, tv
+    if resolution is None:
+        resolution = resolution_rule(
+            n, int(np.unique(sample.xs).size), int(np.unique(sample.ys).size)
+        )
+    N = resolution
+    observed = _q_pairs(_board_from_ranks(ru, tu, rv, tv, n, N)[None])[0]
+    lo_u, hi_u = (ru - tu) * N, ru * N
+    lo_v, hi_v = (rv - tv) * N, rv * N
+    if _fits_two_strips(lo_u, hi_u, n) and _fits_two_strips(lo_v, hi_v, n):
+        u_split = _two_strip_split(lo_u[None], hi_u[None], n)
+        v_split = _two_strip_split(lo_v, hi_v, n)
+        masses = np.full(n, 1.0 / n)
+
+        def boards(perms):
+            return _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
+
+    else:
+
+        def boards(perms):
+            return _boards_from_ranks(ru[None], tu[None], rv[perms], tv[perms], n, N)
+
+    def chunk_q(chunk):
+        perms = np.stack(
+            [_derived_rng(seed, DEPENDENCE_STREAM, b).permutation(n) for b in chunk]
+        )
+        return _q_pairs(boards(perms))
+
+    return observed, _run_replicates(chunk_q, permutations, n, N, threads)
 
 
-def _q_both(ru, tu, rv, tv, n, resolution):
-    """(q_xy, q_yx) from max-rank arrays; the swapped board is the transpose."""
-    board = _board_from_ranks(ru, tu, rv, tv, n, resolution)
-    return _zeta1_mass(board), _zeta1_mass(board.T)
+def _stack_max_ranks(values: np.ndarray, n: int):
+    """Row-wise max-ranks (R, t) of a (C, n) stack of integers in 1..n."""
+    C = values.shape[0]
+    keys = values + np.arange(C)[:, None] * (n + 1)
+    counts = np.bincount(keys.ravel(), minlength=C * (n + 1)).reshape(C, n + 1)
+    ends = np.cumsum(counts, axis=1)
+    return ends.ravel()[keys], counts.ravel()[keys]
 
 
-def _map_replicates(fn, B, threads):
-    """Evaluate fn(0..B-1); replicate seeds make any schedule equivalent."""
-    if threads <= 1 or B <= 1:
-        return [fn(b) for b in range(B)]
-    threads = min(threads, B)
-    bounds = np.linspace(0, B, threads + 1).astype(int)
-    chunks = [range(bounds[i], bounds[i + 1]) for i in range(threads)]
+def _asymmetry_replicates(sample, permutations, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test.
 
-    def run_chunk(chunk):
-        return [fn(b) for b in chunk]
+    Replicate b swaps the integer max-ranks of a random subset of pairs and
+    re-ranks each margin by counting; the ranks are integers in 1..n, so this
+    gives the same (R, t) as ranking the normalized floats.
+    """
+    n = sample.n
+    pobs = pseudo_observations(sample)
+    ru, rv = pobs.ranks_u, pobs.ranks_v
+    if resolution is None:
+        resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+    N = resolution
+    observed = _q_pairs(_board_from_ranks(ru, pobs.ties_u, rv, pobs.ties_v, n, N)[None])[0]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_chunk, chunks))
-    return [item for part in parts for item in part]
+    def chunk_q(chunk):
+        swap = np.stack(
+            [_derived_rng(seed, ASYMMETRY_STREAM, b).random(n) < 0.5 for b in chunk]
+        )
+        rub, tub = _stack_max_ranks(np.where(swap, rv, ru), n)
+        rvb, tvb = _stack_max_ranks(np.where(swap, ru, rv), n)
+        return _q_pairs(_boards_from_ranks(rub, tub, rvb, tvb, n, N))
+
+    return observed, _run_replicates(chunk_q, permutations, n, N, threads)
 
 
 def permutation_test_dependence(
@@ -172,24 +262,9 @@ def permutation_test_dependence(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    n = sample.n
-    ru, tu, rv, tv = _rank_rep(sample)
-    if resolution is None:
-        resolution = resolution_rule(
-            n, int(np.unique(sample.xs).size), int(np.unique(sample.ys).size)
-        )
-    q_xy, q_yx = _q_both(ru, tu, rv, tv, n, resolution)
-
-    def one(b):
-        perm = _derived_rng(seed, DEPENDENCE_STREAM, b).permutation(n)
-        qb_xy, qb_yx = _q_both(ru, tu, rv[perm], tv[perm], n, resolution)
-        return qb_xy >= q_xy, qb_yx >= q_yx
-
-    hits = _map_replicates(one, permutations, threads)
-    ge_xy = sum(h[0] for h in hits)
-    ge_yx = sum(h[1] for h in hits)
-    B = permutations
-    return (1 + ge_xy) / (B + 1), (1 + ge_yx) / (B + 1)
+    observed, null = _dependence_replicates(sample, permutations, seed, resolution, threads)
+    ge_xy, ge_yx = (null >= observed).sum(axis=0)
+    return _p_value(ge_xy, permutations), _p_value(ge_yx, permutations)
 
 
 def permutation_test_asymmetry(
@@ -209,27 +284,9 @@ def permutation_test_asymmetry(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    n = sample.n
-    pobs = pseudo_observations(sample)
-    us, vs = pobs.us, pobs.vs
-    if resolution is None:
-        resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    ru, tu = _max_ranks(us)
-    rv, tv = _max_ranks(vs)
-    q_xy, q_yx = _q_both(ru, tu, rv, tv, n, resolution)
-    a_obs = abs(q_xy - q_yx)
-
-    def one(b):
-        swap = _derived_rng(seed, ASYMMETRY_STREAM, b).random(n) < 0.5
-        xb = np.where(swap, vs, us)
-        yb = np.where(swap, us, vs)
-        rub, tub = _max_ranks(xb)
-        rvb, tvb = _max_ranks(yb)
-        qb_xy, qb_yx = _q_both(rub, tub, rvb, tvb, n, resolution)
-        return abs(qb_xy - qb_yx) >= a_obs
-
-    hits = _map_replicates(one, permutations, threads)
-    return (1 + sum(hits)) / (permutations + 1)
+    observed, null = _asymmetry_replicates(sample, permutations, seed, resolution, threads)
+    a_obs = abs(observed[0] - observed[1])
+    return _p_value((np.abs(null[:, 0] - null[:, 1]) >= a_obs).sum(), permutations)
 
 
 def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:
@@ -248,6 +305,11 @@ def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> Qad
         resolution = opts.resolution_override
     else:
         resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+    if resolution > n:
+        warnings.append(
+            f"resolution {resolution} exceeds the sample size {n}: the board is not "
+            "aggregated and q is biased toward 1 even under independence"
+        )
     if n < opts.min_n_warning_threshold:
         warnings.append(
             f"sample size {n} below recommended minimum ({opts.min_n_warning_threshold})"

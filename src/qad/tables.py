@@ -1,14 +1,16 @@
 """CSV ingestion into numeric data tables.
 
 Parsing is locale-independent (decimal point only).  Cells matching a missing
-marker become NaN; cells that fail numeric parsing also become NaN but are
-tallied per column so callers can surface a warning.
+marker become NaN; cells that fail numeric parsing or parse to a non-finite
+value ("inf", "nan", ...) also become NaN but are tallied per column so callers
+can surface a warning.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,8 @@ DEFAULT_MISSING = ("", "NA")
 
 @dataclass(frozen=True)
 class IngestReport:
-    """Parsing diagnostics: rows read and non-numeric cell tallies per column."""
+    """Parsing diagnostics: rows read and non-numeric (or non-finite) cell
+    tallies per column."""
 
     n_rows: int
     non_numeric: dict
@@ -86,8 +89,12 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
             if cell in missing_set:
                 continue
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                values[i, j] = value
+            else:
                 non_numeric[header[j]] += 1
     table = DataTable(tuple(header), values)
     return table, IngestReport(n_rows=len(data_rows), non_numeric=non_numeric)

@@ -137,6 +137,15 @@ class TestComputeCommand:
         assert "unknown column" in err
         assert out == ""
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compute", WDI, "--x", "birth", "--y", "death",
+            "--permutations", "9", "--seed", "-1",
+        )
+        assert code == 2
+        assert "error: --seed must be >= 0" in err
+        assert out == ""
+
     def test_degenerate_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("a,b\n1,2\n")
@@ -247,6 +256,25 @@ class TestPairwiseCommand:
         assert bundle["spearman_rho"][1][2] is not None
         report = json.loads((out_dir / "filter_report.json").read_text())
         assert report["filtered"] is False
+
+    def test_non_finite_cells_are_skipped_per_column(self, capsys, tmp_path):
+        path = tmp_path / "nonfinite.csv"
+        rng = np.random.default_rng(6)
+        rows = [f"{a!r},{b!r},{c!r}" for a, b, c in rng.random((40, 3)).tolist()]
+        rows[3] = "inf," + rows[3].split(",", 1)[1]
+        rows[7] = rows[7].rsplit(",", 1)[0] + ",nan"
+        path.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "pw_nonfinite"
+        code, out, err = run_cli(
+            capsys, "pairwise", str(path), "--permutations", "9", "--out", str(out_dir)
+        )
+        assert code == 0
+        assert "column 'a': 1 non-numeric cell(s) treated as missing" in err
+        assert "column 'c': 1 non-numeric cell(s) treated as missing" in err
+        bundle = json.loads((out_dir / "heatmap.json").read_text())
+        assert bundle["n_used"][0][1] == 39
+        assert bundle["n_used"][1][2] == 39
+        assert bundle["n_used"][0][2] == 38
 
     def test_filter_ties_flag(self, capsys, tmp_path):
         out_dir = tmp_path / "pw2"

@@ -123,6 +123,10 @@ class TestQadCompute:
         result = qad_compute(BivariateSample(xs, xs), QadOptions(resolution_override=4))
         assert result.resolution == 4
         assert_allclose(result.q_xy, 1 - 1 / 8, atol=1e-13)
+        assert not any("exceeds the sample size" in w for w in result.warnings)
+        finer = qad_compute(BivariateSample(xs, xs), QadOptions(resolution_override=101))
+        assert finer.resolution == 101
+        assert any("exceeds the sample size 100" in w for w in finer.warnings)
 
     def test_result_serialization_shape(self):
         xs = np.arange(30, dtype=float)
@@ -140,6 +144,8 @@ class TestQadCompute:
             QadOptions(resolution_override=0)
         with pytest.raises(ValueError):
             QadOptions(threads=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            QadOptions(seed=-1)
 
 
 class TestPermutationTests:
