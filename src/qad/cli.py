@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .copula import BivariateSample
-from .errors import DataError, DegenerateInputError, ExtrapolationError
+from .copula import BivariateSample, _fit_boards, pseudo_observations
+from .errors import DataError, DegenerateInputError
 from .estimator import QadOptions, qad_compute
 from .pairwise import (
     baseline_correlations,
@@ -59,15 +59,6 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _emit_json(obj: dict, out_path):
-    text = json.dumps(obj, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_lines(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -75,6 +66,17 @@ def _emit_lines(lines, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(obj: dict, out_path):
+    _emit_lines([json.dumps(obj, indent=2)], out_path)
+
+
+def _emit_csv(header: str, rows, out_path, precision: int):
+    """The header line, then one CSV line per row; every cell goes through ``_fmt``."""
+    lines = [header]
+    lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
+    _emit_lines(lines, out_path)
 
 
 def _default_threads() -> int:
@@ -133,19 +135,12 @@ def _cmd_compute(args) -> int:
     for w in result.warnings:
         _log(f"warning: {w}")
     if args.board_out:
-        from .copula import checkerboard_aggregate, empirical_copula, pseudo_observations
-
-        board = checkerboard_aggregate(
-            empirical_copula(pseudo_observations(sample)), result.resolution
-        )
-        swapped = checkerboard_aggregate(
-            empirical_copula(pseudo_observations(sample.swapped())), result.resolution
-        )
+        board_xy, board_yx = _fit_boards(pseudo_observations(sample), result.resolution)
         _emit_json(
             {
                 "schema": SCHEMA,
-                "board_xy": board.to_json_dict(),
-                "board_yx": swapped.to_json_dict(),
+                "board_xy": board_xy.to_json_dict(),
+                "board_yx": board_yx.to_json_dict(),
             },
             args.board_out,
         )
@@ -179,32 +174,23 @@ def _cmd_pairwise(args) -> int:
     table, pw, filter_report = _pairwise_result(args)
     corr = baseline_correlations(table)
     os.makedirs(args.out, exist_ok=True)
-    prec = args.precision
 
-    header = "var1,var2,q,p_q,a,p_a,n_used"
-    lines = [header]
-    k = pw.k
-    for f in range(k):
-        for j in range(k):
-            if f == j:
-                continue
-            lines.append(
-                ",".join(
-                    [
-                        pw.variables[f],
-                        pw.variables[j],
-                        _fmt(float(pw.q[f, j]), prec),
-                        _fmt(float(pw.p_q[f, j]), prec),
-                        _fmt(float(pw.asymmetry[f, j]), prec),
-                        _fmt(float(pw.p_asymmetry[f, j]), prec),
-                        _fmt(
-                            None if np.isnan(pw.n_used[f, j]) else int(pw.n_used[f, j]),
-                            prec,
-                        ),
-                    ]
-                )
-            )
-    _emit_lines(lines, os.path.join(args.out, "pairwise_long.csv"))
+    rows = [
+        (
+            pw.variables[f],
+            pw.variables[j],
+            float(pw.q[f, j]),
+            float(pw.p_q[f, j]),
+            float(pw.asymmetry[f, j]),
+            float(pw.p_asymmetry[f, j]),
+            None if np.isnan(pw.n_used[f, j]) else int(pw.n_used[f, j]),
+        )
+        for f in range(pw.k)
+        for j in range(pw.k)
+        if f != j
+    ]
+    path = os.path.join(args.out, "pairwise_long.csv")
+    _emit_csv("var1,var2,q,p_q,a,p_a,n_used", rows, path, args.precision)
 
     bundle = {
         "schema": SCHEMA,
@@ -268,44 +254,31 @@ def _cmd_network(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     prec = args.precision
 
-    lines = ["source,target,weight"]
-    for src, dst, w in net.edges:
-        lines.append(f"{src},{dst},{_fmt(w, prec)}")
-    _emit_lines(lines, os.path.join(args.out, "edges.csv"))
-
-    lines = ["node,degree,betweenness,hub_score"]
-    for name in net.nodes:
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    str(net.degree[name]),
-                    _fmt(net.betweenness[name], prec),
-                    _fmt(net.hub_score[name], prec),
-                ]
-            )
-        )
-    _emit_lines(lines, os.path.join(args.out, "node_metrics.csv"))
-
-    lines = [
+    _emit_csv("source,target,weight", net.edges, os.path.join(args.out, "edges.csv"), prec)
+    _emit_csv(
+        "node,degree,betweenness,hub_score",
+        [
+            (name, net.degree[name], net.betweenness[name], net.hub_score[name])
+            for name in net.nodes
+        ],
+        os.path.join(args.out, "node_metrics.csv"),
+        prec,
+    )
+    columns = (
+        infl.median_influence,
+        infl.q25_influence,
+        infl.q75_influence,
+        infl.mean_influence_given,
+        infl.mean_influence_received,
+        infl.p_median_positive,
+    )
+    _emit_csv(
         "variable,median_influence,q25_influence,q75_influence,"
-        "mean_influence_given,mean_influence_received,p_median_positive"
-    ]
-    for i, name in enumerate(infl.variables):
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    _fmt(float(infl.median_influence[i]), prec),
-                    _fmt(float(infl.q25_influence[i]), prec),
-                    _fmt(float(infl.q75_influence[i]), prec),
-                    _fmt(float(infl.mean_influence_given[i]), prec),
-                    _fmt(float(infl.mean_influence_received[i]), prec),
-                    _fmt(float(infl.p_median_positive[i]), prec),
-                ]
-            )
-        )
-    _emit_lines(lines, os.path.join(args.out, "influence.csv"))
+        "mean_influence_given,mean_influence_received,p_median_positive",
+        [(name, *(c[i] for c in columns)) for i, name in enumerate(infl.variables)],
+        os.path.join(args.out, "influence.csv"),
+        prec,
+    )
 
     import networkx as nx
 
@@ -328,44 +301,30 @@ def _parse_model(args):
     return Independence()
 
 
-def _write_sample_csv(sample, out_path, precision):
-    lines = ["x,y"]
-    for x, y in zip(sample.xs, sample.ys):
-        lines.append(f"{_fmt(float(x), precision)},{_fmt(float(y), precision)}")
-    _emit_lines(lines, out_path)
-
-
 def _cmd_simulate(args) -> int:
     prec = args.precision
     if args.model == "shape":
         gen = ShapeGenerator(shape=args.name, n=args.n[0], noise=args.noise)
         sample = generate_shape(gen, args.seed)
-        _write_sample_csv(sample, args.out, prec)
-        return EXIT_OK
-    model = _parse_model(args)
-    if args.reps == 1 and len(args.n) == 1:
+    elif args.reps == 1 and len(args.n) == 1:
         # single replicate: emit the raw sample so it can feed `compute`
-        sample = sample_model(model, args.n[0], np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 0)))
-        _write_sample_csv(sample, args.out, prec)
-        return EXIT_OK
-    result = convergence_experiment(model, args.n, args.reps, args.seed, threads=args.threads)
-    lines = ["model,params,n,replicate,q_xy,q_yx,ref_xy,ref_yx"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.model,
-                    row.params,
-                    str(row.n),
-                    str(row.replicate),
-                    _fmt(row.q_xy, prec),
-                    _fmt(row.q_yx, prec),
-                    _fmt(row.ref_xy, prec),
-                    _fmt(row.ref_yx, prec),
-                ]
-            )
+        seeds = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 0))
+        sample = sample_model(_parse_model(args), args.n[0], seeds)
+    else:
+        result = convergence_experiment(
+            _parse_model(args), args.n, args.reps, args.seed, threads=args.threads
         )
-    _emit_lines(lines, args.out)
+        _emit_csv(
+            "model,params,n,replicate,q_xy,q_yx,ref_xy,ref_yx",
+            [
+                (r.model, r.params, r.n, r.replicate, r.q_xy, r.q_yx, r.ref_xy, r.ref_yx)
+                for r in result.rows
+            ],
+            args.out,
+            prec,
+        )
+        return EXIT_OK
+    _emit_csv("x,y", zip(sample.xs.tolist(), sample.ys.tolist()), args.out, prec)
     return EXIT_OK
 
 
@@ -496,16 +455,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ExtrapolationError as exc:
-        _log(f"error: {exc}")
-        return EXIT_DATA
     except DataError as exc:
         _log(f"error: {exc}")
         return EXIT_DATA
-    except DegenerateInputError as exc:
-        _log(f"error: {exc}")
-        return EXIT_NUMERIC
-    except ValueError as exc:
+    except (DegenerateInputError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_NUMERIC
 

@@ -10,7 +10,7 @@ to per-cell trapezoid/root formulas and suprema to finite candidate sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,12 +112,13 @@ def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
     ru, tu = _max_ranks(sample.xs)
     rv, tv = _max_ranks(sample.ys)
     n = sample.n
+    # distinct values and distinct max-ranks correspond one to one
     return PseudoObservations(
         us=ru / n,
         vs=rv / n,
         n=n,
-        n_unique_u=int(np.unique(sample.xs).size),
-        n_unique_v=int(np.unique(sample.ys).size),
+        n_unique_u=int(np.count_nonzero(np.bincount(ru))),
+        n_unique_v=int(np.count_nonzero(np.bincount(rv))),
         ranks_u=ru,
         ranks_v=rv,
         ties_u=tu,
@@ -444,6 +445,26 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
     else:
         raise TypeError("expected EmpiricalCopula or CheckerboardCopula")
     return CheckerboardCopula(mass, validate=False)
+
+
+def _fit_boards(pobs: PseudoObservations, resolution: int):
+    """The fitted checkerboards (board_xy, board_yx) of a sample at resolution N.
+
+    One empirical copula serves both directions: exchanging its u and v fields
+    gives exactly the empirical copula of the swapped sample (same distinct
+    pairs, same first-appearance order, same counts), so board_yx is
+    bit-identical to fitting the swapped sample from scratch.  It is not
+    bitwise board_xy.T: the aggregation sums each cell's contributions in a
+    different order and multiplies the overlap weights the other way round.
+    """
+    ecop = empirical_copula(pobs)
+    exchanged = replace(
+        ecop, ranks_u=ecop.ranks_v, ranks_v=ecop.ranks_u, ties_u=ecop.ties_v, ties_v=ecop.ties_u
+    )
+    return (
+        checkerboard_aggregate(ecop, resolution),
+        checkerboard_aggregate(exchanged, resolution),
+    )
 
 
 # ---------------------------------------------------------------------------

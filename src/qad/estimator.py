@@ -1,10 +1,12 @@
 """Directional dependence estimation with permutation-based significance.
 
-The estimator runs sample -> pseudo-observations -> empirical copula ->
-checkerboard at the resolution ``floor(sqrt(min unique count))`` and reports
-q(X, Y) = zeta1 of that board, q(Y, X) from the identical pipeline on the
-swapped sample, their mean, the asymmetry a = q(X, Y) - q(Y, X), and
-permutation p-values for dependence and for symmetry of the dependence.
+The estimator ranks the sample once into pseudo-observations, builds one
+empirical copula, and aggregates it and its coordinate exchange onto
+checkerboards at the resolution ``floor(sqrt(min unique count))``.  It reports
+q(X, Y) = zeta1 of the first board, q(Y, X) = zeta1 of the second (the board
+of the swapped sample, bit for bit), their mean, the asymmetry
+a = q(X, Y) - q(Y, X), and permutation p-values for dependence and for
+symmetry of the dependence.  The permutation tests reuse the same ranks.
 
 Randomness is drawn from numpy's seeded PCG64 generator.  Replicate b of
 test stream t uses ``SeedSequence(entropy=seed, spawn_key=(t, b))`` (t = 0 for
@@ -26,13 +28,11 @@ from .copula import (
     BivariateSample,
     _board_from_ranks,
     _boards_from_ranks,
+    _fit_boards,
     _fits_two_strips,
-    _max_ranks,
     _two_strip_boards,
     _two_strip_split,
     _zeta1_stack,
-    checkerboard_aggregate,
-    empirical_copula,
     pseudo_observations,
     zeta1,
 )
@@ -173,21 +173,35 @@ def _p_value(exceedances, B: int) -> float:
     return (1 + int(exceedances)) / (B + 1)
 
 
-def _dependence_replicates(sample, permutations, seed, resolution, threads):
-    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test.
+def _observed_pairs(pobs, resolution):
+    """(q_xy, q_yx) of the sample as the permutation statistics score it.
+
+    The replicates build their boards from per-element masses, so the
+    observed statistic does too; the reported q uses the distinct-pair masses
+    of ``_fit_boards``.  The two agree to rounding but not always bitwise.
+    """
+    board = _board_from_ranks(
+        pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v, pobs.n, resolution
+    )
+    return _q_pairs(board[None])[0]
+
+
+def _replicate_preamble(sample, resolution):
+    """(pobs, N, observed) shared by both permutation tests."""
+    pobs = pseudo_observations(sample)
+    if resolution is None:
+        resolution = resolution_rule(pobs.n, pobs.n_unique_u, pobs.n_unique_v)
+    return pobs, resolution, _observed_pairs(pobs, resolution)
+
+
+def _dependence_null(pobs, N, permutations, seed, threads):
+    """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
     The x-side strip split is computed once; replicate b gathers the y-side
     split through its permutation of the rows.
     """
-    n = sample.n
-    ru, tu = _max_ranks(sample.xs)
-    rv, tv = _max_ranks(sample.ys)
-    if resolution is None:
-        resolution = resolution_rule(
-            n, int(np.unique(sample.xs).size), int(np.unique(sample.ys).size)
-        )
-    N = resolution
-    observed = _q_pairs(_board_from_ranks(ru, tu, rv, tv, n, N)[None])[0]
+    n = pobs.n
+    ru, tu, rv, tv = pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v
     lo_u, hi_u = (ru - tu) * N, ru * N
     lo_v, hi_v = (rv - tv) * N, rv * N
     if _fits_two_strips(lo_u, hi_u, n) and _fits_two_strips(lo_v, hi_v, n):
@@ -209,7 +223,7 @@ def _dependence_replicates(sample, permutations, seed, resolution, threads):
         )
         return _q_pairs(boards(perms))
 
-    return observed, _run_replicates(chunk_q, permutations, n, N, threads)
+    return _run_replicates(chunk_q, permutations, n, N, threads)
 
 
 def _stack_max_ranks(values: np.ndarray, n: int):
@@ -221,20 +235,15 @@ def _stack_max_ranks(values: np.ndarray, n: int):
     return ends.ravel()[keys], counts.ravel()[keys]
 
 
-def _asymmetry_replicates(sample, permutations, seed, resolution, threads):
-    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test.
+def _asymmetry_null(pobs, N, permutations, seed, threads):
+    """(B, 2) replicate (q_xy, q_yx) pairs of the asymmetry test.
 
     Replicate b swaps the integer max-ranks of a random subset of pairs and
     re-ranks each margin by counting; the ranks are integers in 1..n, so this
     gives the same (R, t) as ranking the normalized floats.
     """
-    n = sample.n
-    pobs = pseudo_observations(sample)
+    n = pobs.n
     ru, rv = pobs.ranks_u, pobs.ranks_v
-    if resolution is None:
-        resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    N = resolution
-    observed = _q_pairs(_board_from_ranks(ru, pobs.ties_u, rv, pobs.ties_v, n, N)[None])[0]
 
     def chunk_q(chunk):
         swap = np.stack(
@@ -244,7 +253,29 @@ def _asymmetry_replicates(sample, permutations, seed, resolution, threads):
         rvb, tvb = _stack_max_ranks(np.where(swap, ru, rv), n)
         return _q_pairs(_boards_from_ranks(rub, tub, rvb, tvb, n, N))
 
-    return observed, _run_replicates(chunk_q, permutations, n, N, threads)
+    return _run_replicates(chunk_q, permutations, n, N, threads)
+
+
+def _dependence_replicates(sample, permutations, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test."""
+    pobs, N, observed = _replicate_preamble(sample, resolution)
+    return observed, _dependence_null(pobs, N, permutations, seed, threads)
+
+
+def _asymmetry_replicates(sample, permutations, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test."""
+    pobs, N, observed = _replicate_preamble(sample, resolution)
+    return observed, _asymmetry_null(pobs, N, permutations, seed, threads)
+
+
+def _dependence_p(observed, null):
+    ge_xy, ge_yx = (null >= observed).sum(axis=0)
+    return _p_value(ge_xy, len(null)), _p_value(ge_yx, len(null))
+
+
+def _asymmetry_p(observed, null) -> float:
+    a_obs = abs(observed[0] - observed[1])
+    return _p_value((np.abs(null[:, 0] - null[:, 1]) >= a_obs).sum(), len(null))
 
 
 def permutation_test_dependence(
@@ -262,9 +293,7 @@ def permutation_test_dependence(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    observed, null = _dependence_replicates(sample, permutations, seed, resolution, threads)
-    ge_xy, ge_yx = (null >= observed).sum(axis=0)
-    return _p_value(ge_xy, permutations), _p_value(ge_yx, permutations)
+    return _dependence_p(*_dependence_replicates(sample, permutations, seed, resolution, threads))
 
 
 def permutation_test_asymmetry(
@@ -284,17 +313,15 @@ def permutation_test_asymmetry(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    observed, null = _asymmetry_replicates(sample, permutations, seed, resolution, threads)
-    a_obs = abs(observed[0] - observed[1])
-    return _p_value((np.abs(null[:, 0] - null[:, 1]) >= a_obs).sum(), permutations)
+    return _asymmetry_p(*_asymmetry_replicates(sample, permutations, seed, resolution, threads))
 
 
 def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:
     """Full estimation pipeline for one sample.
 
-    Runs pseudo-observation ranking, empirical-copula construction and
-    checkerboard aggregation in each direction, evaluates zeta1, and attaches
-    permutation p-values when requested.
+    Ranks the sample once, fits both directions' checkerboards from one
+    empirical copula, evaluates zeta1 on each, and attaches permutation
+    p-values, from the same ranks, when requested.
     """
     n = sample.n
     if n < 2:
@@ -319,20 +346,16 @@ def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> Qad
     if pobs.n_unique_v == 1:
         warnings.append("y is constant; dependence is 0 in both directions")
 
-    board_xy = checkerboard_aggregate(empirical_copula(pobs), resolution)
-    pobs_swapped = pseudo_observations(sample.swapped())
-    board_yx = checkerboard_aggregate(empirical_copula(pobs_swapped), resolution)
+    board_xy, board_yx = _fit_boards(pobs, resolution)
     q_xy = zeta1(board_xy)
     q_yx = zeta1(board_yx)
 
     p_q_xy = p_q_yx = p_asym = None
     if opts.permutations > 0:
-        p_q_xy, p_q_yx = permutation_test_dependence(
-            sample, opts.permutations, opts.seed, resolution, opts.threads
-        )
-        p_asym = permutation_test_asymmetry(
-            sample, opts.permutations, opts.seed, resolution, opts.threads
-        )
+        observed = _observed_pairs(pobs, resolution)
+        null_args = (pobs, resolution, opts.permutations, opts.seed, opts.threads)
+        p_q_xy, p_q_yx = _dependence_p(observed, _dependence_null(*null_args))
+        p_asym = _asymmetry_p(observed, _asymmetry_null(*null_args))
 
     return QadResult(
         q_xy=q_xy,

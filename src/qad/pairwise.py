@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .copula import BivariateSample
-from .errors import DataError, DegenerateInputError
+from .errors import DataError
 from .estimator import QadOptions, qad_compute
 
 __all__ = [
@@ -159,8 +159,9 @@ def pairwise_qad(
     """Dependence estimation over every unordered column pair.
 
     Rows with a missing value in either column of a pair are excluded for
-    that pair only.  Pairs with fewer than 2 complete rows yield NaN cells
-    and a warning rather than an error.
+    that pair only.  Pairs with fewer than 2 complete rows, or with an
+    infinite value in a complete row, yield NaN cells and a warning naming
+    the pair and the reason rather than an error.
     """
     k = table.n_columns
     if k < 2:
@@ -176,6 +177,7 @@ def pairwise_qad(
     pairs = [(f, j) for f in range(k) for j in range(f + 1, k)]
 
     def one(pair):
+        # -> (f, j, QadResult or the reason the pair is skipped, complete rows)
         # canonical orientation and row order: results must not depend on
         # the table's column or row arrangement, including p-values
         f, j = pair
@@ -185,7 +187,9 @@ def pairwise_qad(
         complete = ~np.isnan(cols).any(axis=1)
         xs, ys = cols[complete, 0], cols[complete, 1]
         if xs.size < 2:
-            return f, j, None, int(xs.size)
+            return f, j, "fewer than 2 complete rows", int(xs.size)
+        if np.isinf(cols[complete]).any():
+            return f, j, "non-finite values", int(xs.size)
         sample = _canonical_pair(xs, ys)
         # parallelism lives at the pair level; keep inner permutation loops serial
         pair_opts = replace(
@@ -193,11 +197,7 @@ def pairwise_qad(
             seed=_pair_seed(opts.seed, table.names[f], table.names[j]),
             threads=1,
         )
-        try:
-            result = qad_compute(sample, pair_opts)
-        except DegenerateInputError:
-            return f, j, None, int(xs.size)
-        return f, j, result, int(xs.size)
+        return f, j, qad_compute(sample, pair_opts), int(xs.size)
 
     if threads > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -207,10 +207,8 @@ def pairwise_qad(
 
     for f, j, result, n_pair in results:
         n_used[f, j] = n_used[j, f] = n_pair
-        if result is None:
-            warnings.append(
-                f"pair ({table.names[f]}, {table.names[j]}): fewer than 2 complete rows"
-            )
+        if isinstance(result, str):
+            warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {result}")
             continue
         q[f, j] = result.q_xy
         q[j, f] = result.q_yx

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import BivariateSample, checkerboard_aggregate, empirical_copula, pseudo_observations
+from .copula import BivariateSample, _fit_boards, pseudo_observations
 from .errors import ExtrapolationError
 from .estimator import resolution_rule
 
@@ -107,10 +107,10 @@ def prediction_table(
     """
     if direction not in ("xy", "yx"):
         raise ValueError("direction must be 'xy' or 'yx'")
-    pobs = pseudo_observations(sample if direction == "xy" else sample.swapped())
+    pobs = pseudo_observations(sample)
     if resolution is None:
         resolution = resolution_rule(sample.n, pobs.n_unique_u, pobs.n_unique_v)
-    board = checkerboard_aggregate(empirical_copula(pobs), resolution)
+    board = _fit_boards(pobs, resolution)[0 if direction == "xy" else 1]
     cond = board.mass * resolution
     return PredictionTable(
         direction=direction,

@@ -18,7 +18,7 @@ from qad import (
     transpose,
     zeta1,
 )
-from qad.copula import _board_from_ranks, _max_ranks
+from qad.copula import _board_from_ranks, _fit_boards, _max_ranks
 
 from helpers import (
     ecop_rect_tuples,
@@ -359,6 +359,38 @@ class TestTranspose:
                 empirical_copula(pseudo_observations(sample.swapped())), resolution
             )
             assert_allclose(rev.mass, fwd.mass.T, atol=1e-15)
+
+
+class TestFitBoards:
+    @staticmethod
+    def _samples(rng):
+        for _ in range(10):
+            n = int(rng.integers(2, 120))
+            xs, noise = rng.normal(size=n), rng.normal(size=n)
+            yield BivariateSample(xs, xs + noise)  # tie-free
+            yield BivariateSample(rng.integers(0, 5, n), rng.integers(0, 8, n))
+            yield BivariateSample(np.round(xs, 1), np.round(noise, 1))
+            yield BivariateSample(np.where(rng.random(n) < 0.4, 0.0, xs), noise)
+
+    def test_one_copula_gives_the_swapped_sample_board(self):
+        rng = np.random.default_rng(61)
+        for sample in self._samples(rng):
+            pobs = pseudo_observations(sample)
+            rev = empirical_copula(pseudo_observations(sample.swapped()))
+            for resolution in (1, max(1, sample.n // 3), sample.n + 3):
+                board_xy, board_yx = _fit_boards(pobs, resolution)
+                fwd = checkerboard_aggregate(empirical_copula(pobs), resolution)
+                assert np.array_equal(board_xy.mass, fwd.mass)
+                assert np.array_equal(
+                    board_yx.mass, checkerboard_aggregate(rev, resolution).mass
+                )
+
+    def test_unique_counts_match_unique_values(self):
+        rng = np.random.default_rng(62)
+        for sample in self._samples(rng):
+            pobs = pseudo_observations(sample)
+            assert pobs.n_unique_u == np.unique(sample.xs).size
+            assert pobs.n_unique_v == np.unique(sample.ys).size
 
 
 class TestSupMetrics:

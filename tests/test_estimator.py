@@ -88,6 +88,29 @@ class TestQadCompute:
         assert rev.q_yx == fwd.q_xy
         assert rev.asymmetry == -fwd.asymmetry
 
+    @pytest.mark.parametrize("permutations", [0, 19])
+    def test_ranks_once_and_builds_one_empirical_copula(self, monkeypatch, permutations):
+        import qad.copula
+        import qad.estimator
+
+        calls = {"pseudo_observations": 0, "empirical_copula": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(qad.estimator, "pseudo_observations")
+        counting(qad.copula, "empirical_copula")
+        rng = np.random.default_rng(34)
+        sample = BivariateSample(rng.integers(0, 9, 80), rng.random(80))
+        qad_compute(sample, QadOptions(permutations=permutations, seed=3))
+        assert calls == {"pseudo_observations": 1, "empirical_copula": 1}
+
     def test_determinism_bytes(self):
         rng = np.random.default_rng(32)
         sample = BivariateSample(rng.random(120), rng.random(120))

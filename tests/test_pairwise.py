@@ -175,6 +175,20 @@ class TestPairwiseQad:
         assert np.isnan(pw.q[0, 1])
         assert pw.warnings and "fewer than 2 complete rows" in pw.warnings[0]
 
+    def test_non_finite_pair_skipped_with_reason(self):
+        values = np.random.default_rng(63).random((30, 3))
+        values[4, 1] = np.inf
+        table = DataTable(("a", "b", "c"), values)
+        pw = pairwise_qad(table, QadOptions(permutations=9, seed=2))
+        for f, j in ((0, 1), (1, 2)):
+            assert np.isnan(pw.q[f, j]) and np.isnan(pw.q[j, f])
+            assert np.isnan(pw.p_q[f, j]) and np.isnan(pw.asymmetry[f, j])
+        assert pw.warnings == ("pair (a, b): non-finite values", "pair (b, c): non-finite values")
+        from qad.pairwise import _canonical_pair
+
+        direct = qad_compute(_canonical_pair(values[:, 0], values[:, 2]))
+        assert pw.q[0, 2] == direct.q_xy and pw.n_used[0, 2] == 30
+
     def test_single_column_rejected(self):
         with pytest.raises(DataError):
             pairwise_qad(DataTable(("only",), np.arange(5.0).reshape(-1, 1)))
