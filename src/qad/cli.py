@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .copula import BivariateSample, _fit_boards, pseudo_observations
+from .copula import BivariateSample
 from .errors import DataError, DegenerateInputError
-from .estimator import QadOptions, qad_compute
+from .estimator import QadOptions, _compute_with_boards
 from .pairwise import (
     baseline_correlations,
     build_network,
@@ -131,11 +131,10 @@ def _cmd_compute(args) -> int:
         resolution_override=args.resolution,
         threads=args.threads,
     )
-    result = qad_compute(sample, opts)
+    result, (board_xy, board_yx) = _compute_with_boards(sample, opts)
     for w in result.warnings:
         _log(f"warning: {w}")
     if args.board_out:
-        board_xy, board_yx = _fit_boards(pseudo_observations(sample), result.resolution)
         _emit_json(
             {
                 "schema": SCHEMA,

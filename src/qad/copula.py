@@ -456,8 +456,22 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     bit-identical to fitting the swapped sample from scratch.  It is not
     bitwise board_xy.T: the aggregation sums each cell's contributions in a
     different order and multiplies the overlap weights the other way round.
+
+    The two margins' bounds are split once, as a (2, m) stack, and both boards
+    come from one ``_two_strip_boards`` call: board_yx takes the same splits
+    with the rows reversed.  The kernel adds each cell's contributions in the
+    same order as for a single board, so this equals aggregating each copula by
+    itself.  A rectangle spanning more than two strips takes
+    ``checkerboard_aggregate`` for both boards.
     """
     ecop = empirical_copula(pobs)
+    N, n = resolution, ecop.n
+    lo = np.stack([ecop.ranks_u - ecop.ties_u, ecop.ranks_v - ecop.ties_v]) * N
+    hi = np.stack([ecop.ranks_u, ecop.ranks_v]) * N
+    if _fits_two_strips(lo, hi, n).all():
+        split = _two_strip_split(lo, hi, n)
+        boards = _two_strip_boards(split, [a[::-1] for a in split], ecop.counts / n, N)
+        return tuple(CheckerboardCopula(b, validate=False) for b in boards)
     exchanged = replace(
         ecop, ranks_u=ecop.ranks_v, ranks_v=ecop.ranks_u, ties_u=ecop.ties_v, ties_v=ecop.ties_u
     )

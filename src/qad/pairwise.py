@@ -6,6 +6,11 @@ q[f][j] is the dependence of column j on column f; the asymmetry matrix
 a[f][j] = q[f][j] - q[j][f] is antisymmetric by construction.  Per-pair
 permutation seeds are derived from the global seed and the sorted column
 names, so results do not depend on column order, row order, or scheduling.
+
+Importing this module loads numpy only: the Pearson and Spearman baselines are
+computed with numpy, scipy is imported by the two median tests of
+``influence_summary`` and networkx by ``build_network``, so every command but
+``qad network`` runs without either.
 """
 
 from __future__ import annotations
@@ -15,9 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
-from .copula import BivariateSample
+from .copula import BivariateSample, _max_ranks
 from .errors import DataError
 from .estimator import QadOptions, qad_compute
 
@@ -255,6 +259,8 @@ def _sign_test_greater(values: np.ndarray) -> float:
     nonzero = values[values != 0]
     if nonzero.size == 0:
         return 1.0
+    from scipy import stats
+
     k_pos = int((nonzero > 0).sum())
     return float(stats.binom.sf(k_pos - 1, nonzero.size, 0.5))
 
@@ -263,6 +269,8 @@ def _signrank_greater(values: np.ndarray) -> float:
     nonzero = values[values != 0]
     if nonzero.size == 0:
         return 1.0
+    from scipy import stats
+
     return float(stats.wilcoxon(nonzero, alternative="greater").pvalue)
 
 
@@ -393,10 +401,31 @@ class Correlations:
     spearman_rho: np.ndarray
 
 
+def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Pearson r of two finite, non-constant vectors, computed as scipy's
+    ``pearsonr`` does: each centred vector is scaled by its largest magnitude
+    before its norm is taken, r is clipped to [-1, 1] and is exactly +-1 at n = 2."""
+
+    def unit(v):
+        centred = v - v.mean()
+        top = np.abs(centred).max()
+        return centred / (top * np.linalg.norm(centred / top))
+
+    r = min(max(float(np.dot(unit(xs), unit(ys))), -1.0), 1.0)
+    return float(round(r)) if xs.size == 2 else r
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties given the mean of the ranks they span."""
+    ranks, ties = _max_ranks(values)
+    return ranks - (ties - 1) / 2.0
+
+
 def baseline_correlations(table: DataTable) -> Correlations:
     """Pearson r, r^2 and Spearman rho over all column pairs.
 
-    Pairwise-complete; a pair with a zero-variance margin yields NaN.
+    Pairwise-complete; a pair with a zero-variance margin, or with an
+    infinite value in a complete row, yields NaN.
     """
     k = table.n_columns
     r = np.full((k, k), np.nan)
@@ -404,10 +433,10 @@ def baseline_correlations(table: DataTable) -> Correlations:
     for f in range(k):
         for j in range(f + 1, k):
             cols = table.values[:, (f, j)]
-            complete = ~np.isnan(cols).any(axis=1)
-            xs, ys = cols[complete, 0], cols[complete, 1]
-            if xs.size < 2 or np.ptp(xs) == 0 or np.ptp(ys) == 0:
+            cols = cols[~np.isnan(cols).any(axis=1)]
+            if len(cols) < 2 or not np.isfinite(cols).all() or np.ptp(cols, axis=0).min() == 0:
                 continue
-            r[f, j] = r[j, f] = stats.pearsonr(xs, ys).statistic
-            rho[f, j] = rho[j, f] = stats.spearmanr(xs, ys).statistic
+            xs, ys = cols[:, 0], cols[:, 1]
+            r[f, j] = r[j, f] = _pearson(xs, ys)
+            rho[f, j] = rho[j, f] = _pearson(_average_ranks(xs), _average_ranks(ys))
     return Correlations(table.names, r, r * r, rho)

@@ -167,6 +167,31 @@ class TestComputeCommand:
         mass_yx = np.array(doc["board_yx"]["mass"]).reshape(n, n)
         np.testing.assert_allclose(mass_yx, mass.T, atol=1e-12)
 
+    def test_board_out_ranks_once_and_fits_once(self, capsys, tmp_path, monkeypatch):
+        # --board-out writes the boards qad_compute fitted: one ranking of the
+        # two margins and one empirical copula, permutations included
+        import qad.copula
+
+        calls = {"_max_ranks": 0, "empirical_copula": 0}
+
+        def counting(name):
+            original = getattr(qad.copula, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(qad.copula, name, wrapped)
+
+        counting("_max_ranks")
+        counting("empirical_copula")
+        code, _, _ = run_cli(
+            capsys, "compute", WDI, "--x", "birth", "--y", "death",
+            "--permutations", "19", "--board-out", str(tmp_path / "boards.json"),
+        )
+        assert code == 0
+        assert calls == {"_max_ranks": 2, "empirical_copula": 1}
+
     def test_resolution_override_flag(self, capsys, tmp_path):
         path = tmp_path / "line.csv"
         lines = ["x,y"] + [f"{i},{i}" for i in range(100)]

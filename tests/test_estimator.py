@@ -218,3 +218,49 @@ class TestPermutationTests:
         sample = BivariateSample([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(ValueError):
             permutation_test_dependence(sample, 0, seed=0)
+
+
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from qad import BivariateSample, QadOptions, qad_compute, permutation_test_asymmetry
+
+rng = np.random.default_rng(41)
+big, small = rng.random(10000), rng.random(1000)
+big = BivariateSample(big, np.sin(6 * big) + 0.05 * rng.standard_normal(10000))
+small = BivariateSample(small, (small - 0.5) ** 2 + 0.1 * rng.standard_normal(1000))
+calls = [
+    lambda: qad_compute(big),
+    lambda: qad_compute(small, QadOptions(permutations=199, seed=1)),
+    lambda: permutation_test_asymmetry(small, 199, seed=1),
+]
+faults = []
+for call in calls:
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        call()
+    faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(
+    __import__("platform").libc_ver()[0] != "glibc", reason="glibc malloc thresholds"
+)
+def test_repeat_calls_do_not_page_fault():
+    # the temporaries of a warm call come from the heap, not from fresh pages:
+    # with glibc's default thresholds these calls take about 1000, 13000 and
+    # 7500 minor faults each
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout)
+    assert max(faults) < 100, faults

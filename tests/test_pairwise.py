@@ -360,6 +360,48 @@ class TestBaselines:
         assert np.isnan(corr.pearson_r[0, 1])
         assert np.isnan(corr.spearman_rho[0, 1])
 
+    @pytest.mark.parametrize(
+        "kind", ["tie_free", "integer_tied", "rounded", "n2", "perfectly_negative"]
+    )
+    def test_matches_scipy(self, kind):
+        from scipy import stats
+
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            n = 2 if kind == "n2" else int(rng.integers(3, 200))
+            xs = rng.standard_normal(n)
+            ys = xs + rng.standard_normal(n) * rng.random()
+            if kind == "integer_tied":
+                xs = rng.integers(0, 5, n).astype(float)
+                ys = xs + rng.integers(0, 3, n)
+            elif kind == "rounded":
+                xs, ys = np.round(xs, 1), np.round(ys, 1)
+            elif kind == "perfectly_negative":
+                ys = 5.0 - 2.5 * xs
+            if np.ptp(xs) == 0 or np.ptp(ys) == 0:
+                continue
+            corr = baseline_correlations(DataTable(("x", "y"), np.column_stack([xs, ys])))
+            r = stats.pearsonr(xs, ys).statistic
+            rho = stats.spearmanr(xs, ys).statistic
+            assert abs(corr.pearson_r[0, 1] - r) <= 1e-12
+            assert abs(corr.r_squared[0, 1] - r * r) <= 1e-12
+            assert abs(corr.spearman_rho[0, 1] - rho) <= 1e-12
+            if kind == "n2":
+                assert corr.pearson_r[0, 1] == r and abs(r) == 1.0
+
+    def test_non_finite_pair_is_nan_without_warning(self):
+        import warnings
+
+        values = np.random.default_rng(67).random((30, 3))
+        values[4, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr = baseline_correlations(DataTable(("a", "b", "c"), values))
+        for m in (corr.pearson_r, corr.r_squared, corr.spearman_rho):
+            assert np.isnan(m[0, 1]) and np.isnan(m[1, 2])
+            assert np.isnan(m[1, 0]) and np.isnan(m[2, 1])
+            assert np.isfinite(m[0, 2]) and m[0, 2] == m[2, 0]
+
     def test_diagonal_is_nan(self):
         corr = baseline_correlations(make_table(seed=65, n=50, k=3))
         assert np.all(np.isnan(np.diag(corr.pearson_r)))
