@@ -307,6 +307,37 @@ def _delta_overlap_matrix(lo, hi, strip_width, resolution):
     return np.diff(frac, axis=1)
 
 
+def _overlap_weights(lo, hi, strip_width, resolution, masses=None):
+    """``_delta_overlap_matrix(lo, hi, strip_width, resolution)``, its rows
+    scaled by ``masses`` when given, equal bit for bit and built sparsely.
+
+    A rectangle no wider than a strip meets at most two strips, so its row
+    holds the ``_two_strip_split`` weights w0 and 1 - w0, the same floats the
+    clip/diff formula gives, scattered into zeros.  Wider rectangles take the
+    dense formula once per tie group and share its row: rectangles with the
+    same lower bound must share the upper bound, as the tie groups of a margin
+    and the strips of a checkerboard do.
+    """
+    out = np.zeros((lo.size, resolution))
+    narrow = hi - lo <= strip_width
+    rows = np.flatnonzero(narrow)
+    i0, i1, w0 = _two_strip_split(lo[rows], hi[rows], strip_width)
+    w1 = 1.0 - w0
+    if masses is not None:
+        w0 = w0 * masses[rows]
+        w1 = w1 * masses[rows]
+    # i1 first: a rectangle inside one strip has i1 == i0, w0 = 1 and w1 = 0
+    out[rows, i1] = w1
+    out[rows, i0] = w0
+    wide = np.flatnonzero(~narrow)
+    if wide.size:
+        _, first, group = np.unique(lo[wide], return_index=True, return_inverse=True)
+        first = wide[first]
+        dense = _delta_overlap_matrix(lo[first], hi[first], strip_width, resolution)[group]
+        out[wide] = dense if masses is None else dense * masses[wide, None]
+    return out
+
+
 def _fits_two_strips(lo, hi, strip_width):
     """Per row of a stack: whether no span exceeds one strip width, so that
     every rectangle meets at most two strips."""
@@ -351,7 +382,10 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
 
     All coordinates are integers on a common scale where strip boundaries sit
     at multiples of ``strip_width``; overlap fractions are then exact up to
-    one rounding each.
+    one rounding each.  When no rectangle is wider than a strip, each meets at
+    most two strips per axis and one bincount places the masses; otherwise the
+    board is the product of the two axes' overlap matrices from
+    ``_overlap_weights``, the first scaled by the masses.
     """
     if _fits_two_strips(lo_u, hi_u, strip_width) and _fits_two_strips(
         lo_v, hi_v, strip_width
@@ -362,9 +396,9 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
             masses,
             resolution,
         )[0]
-    gu = _delta_overlap_matrix(lo_u, hi_u, strip_width, resolution)
-    gv = _delta_overlap_matrix(lo_v, hi_v, strip_width, resolution)
-    return (gu * masses[:, None]).T @ gv
+    gu = _overlap_weights(lo_u, hi_u, strip_width, resolution, masses)
+    gv = _overlap_weights(lo_v, hi_v, strip_width, resolution)
+    return gu.T @ gv
 
 
 def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
@@ -374,8 +408,9 @@ def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
     every sample may be passed once as (1, n).  Element i spreads mass 1/n
     uniformly on [(R_u - t_u)/n, R_u/n] x [(R_v - t_v)/n, R_v/n]; summing
     elements of a tied pair reproduces the rectangle masses of the empirical
-    copula.  Rows whose rectangles all meet at most two strips per axis share
-    one bincount; any other row takes the dense overlap product.
+    copula.  Rows whose rectangles are all no wider than a strip, so that each
+    meets at most two strips per axis, share one bincount; a row with a wider
+    rectangle takes the dense overlap product of ``_aggregate_rects`` alone.
     """
     N = resolution
     lo_u, hi_u = (ranks_u - ties_u) * N, ranks_u * N
@@ -461,8 +496,8 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     come from one ``_two_strip_boards`` call: board_yx takes the same splits
     with the rows reversed.  The kernel adds each cell's contributions in the
     same order as for a single board, so this equals aggregating each copula by
-    itself.  A rectangle spanning more than two strips takes
-    ``checkerboard_aggregate`` for both boards.
+    itself.  A rectangle wider than a strip sends both boards through
+    ``checkerboard_aggregate`` and its dense overlap product.
     """
     ecop = empirical_copula(pobs)
     N, n = resolution, ecop.n

@@ -30,6 +30,7 @@ from .copula import (
     _boards_from_ranks,
     _fit_boards,
     _fits_two_strips,
+    _overlap_weights,
     _two_strip_boards,
     _two_strip_split,
     _zeta1_stack,
@@ -214,25 +215,29 @@ def _replicate_preamble(sample, resolution):
 def _dependence_null(pobs, N, permutations, seed, threads):
     """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
-    The x-side strip split is computed once; replicate b gathers the y-side
-    split through its permutation of the rows.
+    Each side is prepared once: the strip splits, or, when a tie rectangle is
+    wider than a strip, the overlap matrices of the dense product (the x side
+    scaled by the masses).  Replicate b gathers the y side's rows through its
+    permutation, which does not change which of the two paths applies.
     """
     n = pobs.n
     ru, tu, rv, tv = pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v
     lo_u, hi_u = (ru - tu) * N, ru * N
     lo_v, hi_v = (rv - tv) * N, rv * N
+    masses = np.full(n, 1.0 / n)
     if _fits_two_strips(lo_u, hi_u, n) and _fits_two_strips(lo_v, hi_v, n):
         u_split = _two_strip_split(lo_u[None], hi_u[None], n)
         v_split = _two_strip_split(lo_v, hi_v, n)
-        masses = np.full(n, 1.0 / n)
 
         def boards(perms):
             return _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
 
     else:
+        gu = _overlap_weights(lo_u, hi_u, n, N, masses).T
+        gv = _overlap_weights(lo_v, hi_v, n, N)
 
         def boards(perms):
-            return _boards_from_ranks(ru[None], tu[None], rv[perms], tv[perms], n, N)
+            return np.stack([gu @ gv[perm] for perm in perms])
 
     def chunk_q(chunk):
         perms = np.stack(

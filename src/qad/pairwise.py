@@ -8,14 +8,16 @@ permutation seeds are derived from the global seed and the sorted column
 names, so results do not depend on column order, row order, or scheduling.
 
 Importing this module loads numpy only: the Pearson and Spearman baselines are
-computed with numpy, scipy is imported by the two median tests of
-``influence_summary`` and networkx by ``build_network``, so every command but
-``qad network`` runs without either.
+computed with numpy, the sign test of ``influence_summary`` in integers, scipy
+is imported only by its signed-rank test and networkx by ``build_network``, so
+every command but ``qad network`` runs without either, and ``qad network``
+without scipy unless ``--influence-test signrank`` asks for it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -255,14 +257,14 @@ class InfluenceSummary:
 
 
 def _sign_test_greater(values: np.ndarray) -> float:
-    """Exact one-sided sign test for median > 0 (zeros discarded)."""
+    """Exact one-sided sign test for median > 0 (zeros discarded): the binomial
+    tail P(K >= k_pos), K ~ Bin(n, 1/2), summed in integers."""
     nonzero = values[values != 0]
     if nonzero.size == 0:
         return 1.0
-    from scipy import stats
-
+    n = nonzero.size
     k_pos = int((nonzero > 0).sum())
-    return float(stats.binom.sf(k_pos - 1, nonzero.size, 0.5))
+    return sum(math.comb(n, i) for i in range(k_pos, n + 1)) / 2**n
 
 
 def _signrank_greater(values: np.ndarray) -> float:

@@ -50,11 +50,17 @@ def _detect_delimiter(first_line: str) -> str:
     return best if counts[best] > 0 else ","
 
 
+def _line_in_file(text: str, index: int) -> int:
+    """The line number in ``text`` of its non-blank line ``index`` (from 0)."""
+    return [no for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()][index]
+
+
 def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     """Read a delimited text file with a header row of unique column names.
 
     Returns (DataTable, IngestReport).  Raises DataError for unreadable
     files, duplicate or empty headers, ragged rows, and zero data rows.
+    Blank lines are skipped; a ragged row is named by its line in the file.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -67,23 +73,26 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     if delimiter is None:
         delimiter = _detect_delimiter(lines[0])
     reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(reader)]
     if any(not h for h in header):
         raise DataError(f"{path}: empty column name in header")
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    data_rows = rows[1:]
+    k = len(header)
+    data_rows, taken = [], reader.line_num
+    for row in reader:
+        if len(row) != k:
+            line = _line_in_file(text, taken)  # the row starts after the lines taken
+            raise DataError(f"{path}: row {line} has {len(row)} fields, expected {k}")
+        taken = reader.line_num
+        data_rows.append(row)
     if not data_rows:
         raise DataError(f"{path}: zero data rows")
 
     missing_set = set(missing)
-    k = len(header)
     values = np.full((len(data_rows), k), np.nan)
     non_numeric = {name: 0 for name in header}
     for i, row in enumerate(data_rows):
-        if len(row) != k:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {k}")
         for j, cell in enumerate(row):
             cell = cell.strip()
             if cell in missing_set:

@@ -76,6 +76,12 @@ class TestIngest:
         with pytest.raises(DataError, match="row 3"):
             ingest_csv(path)
 
+    def test_ragged_row_named_by_its_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n\n\n3,4\n5\n")
+        with pytest.raises(DataError, match="row 6 has 1 fields"):
+            ingest_csv(path)
+
     def test_semicolon_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("a;b\n1;2\n3;4\n")

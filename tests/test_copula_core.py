@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qad import (
@@ -15,10 +17,17 @@ from qad import (
     empirical_copula,
     extremal_metric_pair,
     pseudo_observations,
+    resolution_rule,
     transpose,
     zeta1,
 )
-from qad.copula import _board_from_ranks, _fit_boards, _max_ranks
+from qad.copula import (
+    _board_from_ranks,
+    _delta_overlap_matrix,
+    _fit_boards,
+    _max_ranks,
+    _overlap_weights,
+)
 
 from helpers import (
     ecop_rect_tuples,
@@ -391,6 +400,65 @@ class TestFitBoards:
             pobs = pseudo_observations(sample)
             assert pobs.n_unique_u == np.unique(sample.xs).size
             assert pobs.n_unique_v == np.unique(sample.ys).size
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_overlap_weights(xs, ys, resolution=None):
+    """Compare ``_overlap_weights`` with the clip/diff reference on both
+    margins, with per-element masses 1/n (permutation statistics) and with
+    distinct-pair masses counts/n (``_fit_boards``); returns the number of
+    distinct x tie groups wider than a strip."""
+    pobs = pseudo_observations(BivariateSample(xs, ys))
+    n = pobs.n
+    N = resolution or resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+    ecop = empirical_copula(pobs)
+    per_element = np.full(n, 1.0 / n)
+    for ranks, ties, masses in (
+        (pobs.ranks_u, pobs.ties_u, per_element),
+        (pobs.ranks_v, pobs.ties_v, per_element),
+        (ecop.ranks_u, ecop.ties_u, ecop.counts / n),
+        (ecop.ranks_v, ecop.ties_v, ecop.counts / n),
+    ):
+        lo, hi = (ranks - ties) * N, ranks * N
+        reference = _delta_overlap_matrix(lo, hi, n, N)
+        assert _same_bits(_overlap_weights(lo, hi, n, N), reference)
+        assert _same_bits(_overlap_weights(lo, hi, n, N, masses), reference * masses[:, None])
+    wide = pobs.ties_u * N > n
+    return np.unique(pobs.ranks_u[wide]).size
+
+
+class TestOverlapWeights:
+    @pytest.mark.parametrize(
+        "xs, ys, resolution, wide_groups",
+        [
+            pytest.param(np.sin(np.arange(50.0)), np.cos(np.arange(50.0)), None, 0, id="tie_free"),
+            pytest.param([0.0] * 10 + list(range(1, 31)), list(range(40)), None, 1, id="one_wide"),
+            pytest.param([0.0] * 6 + [1.0] * 6 + list(range(2, 10)), list(range(20)), 5, 2,
+                         id="several_wide"),
+            pytest.param([2.5] * 7, list(range(7)), None, 0, id="constant_margin"),
+            pytest.param([1.0, 2.0], [2.0, 1.0], None, 0, id="n2"),
+            pytest.param([3.0, 1.0, 4.0, 1.5, 9.0], [2.0, 7.0, 1.0, 8.0, 2.5], 8, 5,
+                         id="override_above_n"),
+        ],
+    )
+    def test_equals_reference(self, xs, ys, resolution, wide_groups):
+        assert _check_overlap_weights(xs, ys, resolution) == wide_groups
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.integers(0, k), st.integers(0, 3 * k)), min_size=2, max_size=80
+            )
+        ),
+        st.one_of(st.none(), st.integers(1, 160)),
+    )
+    def test_random_ties_and_resolutions(self, pairs, resolution):
+        xs, ys = np.array(pairs, dtype=float).T
+        _check_overlap_weights(xs, ys, resolution)
 
 
 class TestSupMetrics:

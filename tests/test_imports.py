@@ -1,6 +1,7 @@
 """The import path of the package and of the non-network commands stays free
 of scipy and networkx: each costs more than a second of start-up that
-``compute``, ``predict`` and ``pairwise`` never use."""
+``compute``, ``predict`` and ``pairwise`` never use.  ``network`` needs
+networkx, and scipy only for ``--influence-test signrank``."""
 
 import json
 import os
@@ -22,6 +23,21 @@ print(json.dumps(report))
 """
 
 
+def _heavy_modules_after(commands):
+    """Run the CLI commands in order in one fresh interpreter; for each, its
+    exit code and the heavy modules loaded so far."""
+    code = f"HEAVY = {HEAVY!r}\nCOMMANDS = {commands!r}\n" + SCRIPT
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_core_commands_do_not_import_scipy_or_networkx(tmp_path):
     out = str(tmp_path)
     commands = [
@@ -33,14 +49,14 @@ def test_core_commands_do_not_import_scipy_or_networkx(tmp_path):
                      "--out", os.path.join(out, "predict.json")]),
         ("pairwise", ["pairwise", WDI, "--permutations", "9", "--out", os.path.join(out, "pw")]),
     ]
-    code = f"HEAVY = {HEAVY!r}\nCOMMANDS = {commands!r}\n" + SCRIPT
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = _heavy_modules_after(commands)
     assert report == {"import": [], "compute": [0], "predict": [0], "pairwise": [0]}
+
+
+def test_network_sign_test_does_not_import_scipy(tmp_path):
+    commands = [
+        ("network", ["network", WDI, "--permutations", "9", "--q-threshold", "0.3",
+                     "--out", os.path.join(str(tmp_path), "net")]),
+    ]
+    report = _heavy_modules_after(commands)
+    assert report == {"import": [], "network": [0, "networkx"]}

@@ -14,6 +14,7 @@ from qad import (
     pairwise_qad,
     qad_compute,
 )
+from qad.pairwise import _sign_test_greater
 
 
 def make_table(seed=50, n=200, k=3, names=None):
@@ -243,6 +244,15 @@ class TestInfluence:
         assert np.all((b.p_median_positive > 0) & (b.p_median_positive <= 1))
         with pytest.raises(ValueError):
             influence_summary(pw, method="bogus")
+
+    def test_sign_test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert _sign_test_greater(np.zeros(4)) == 1.0
+        for n in (1, 2, 3, 10, 57, 199):
+            for k in range(n + 1):
+                values = np.concatenate([np.ones(k), -np.ones(n - k), np.zeros(2)])
+                expected = stats.binom.sf(k - 1, n, 0.5)
+                assert _sign_test_greater(values) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_mean_curves(self):
         table = make_table(seed=63, n=80, k=3)

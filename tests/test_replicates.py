@@ -14,10 +14,13 @@ import pytest
 
 from qad import (
     BivariateSample,
+    QadOptions,
     permutation_test_asymmetry,
     permutation_test_dependence,
+    qad_compute,
     resolution_rule,
 )
+from qad import copula
 from qad.copula import (
     CheckerboardCopula,
     _board_from_ranks,
@@ -251,6 +254,32 @@ def test_mixed_stack_takes_both_paths():
     _, tub, _, tvb = _swapped_rank_stack(sample, 24, 3)
     fits = (tub.max(axis=1) * N <= n) & (tvb.max(axis=1) * N <= n)
     assert fits.any() and not fits.all()
+
+
+def test_dense_boards_overlap_only_wide_tie_groups(monkeypatch):
+    """The dense path runs the clip/diff overlap formula once per distinct tie
+    group wider than a strip, and the dependence test builds its overlap
+    matrices once rather than once per replicate."""
+    sample = _zero_inflated(2000)
+    calls = []
+    reference = copula._delta_overlap_matrix
+
+    def recording(lo, hi, strip_width, resolution):
+        calls.append((lo.copy(), hi.copy(), strip_width))
+        return reference(lo, hi, strip_width, resolution)
+
+    monkeypatch.setattr(copula, "_delta_overlap_matrix", recording)
+    qad_compute(sample, QadOptions(permutations=9, seed=1))
+    assert calls
+    for lo, hi, strip_width in calls:
+        assert np.unique(lo).size == lo.size
+        assert (hi - lo > strip_width).all()
+    per_b = []
+    for B in (1, 9):
+        calls.clear()
+        permutation_test_dependence(sample, B, seed=1)
+        per_b.append(len(calls))
+    assert per_b[0] == per_b[1]
 
 
 @pytest.mark.parametrize("N", [1, 2, 31, 95, 316])
