@@ -10,7 +10,7 @@ to per-cell trapezoid/root formulas and suprema to finite candidate sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,31 @@ def _max_ranks(values):
 
     Returns (R, t) where R[i] = #{j : v_j <= v_i} and t[i] = #{j : v_j == v_i}.
     R/n is the empirical CDF evaluated at the data points.
+
+    One argsort orders the values; neighbours that compare unequal start a
+    new tie group.  With no ties (the common case of continuous data) the
+    ranks are the sorted positions 1..n and every t is 1, so the group
+    bookkeeping is skipped.  Both branches give the integers ``np.unique``
+    would: R and t depend only on the groups, not on the order of the tied
+    elements within the sort.
     """
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return ends[inverse], counts[inverse]
+    n = values.size
+    perm = values.argsort()
+    ordered = values[perm]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks = np.empty(n, dtype=np.intp)
+    if new.all():
+        ranks[perm] = np.arange(1, n + 1)
+        return ranks, np.ones(n, dtype=np.intp)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=n)
+    group = np.cumsum(new) - 1
+    ranks[perm] = (starts + counts)[group]
+    ties = np.empty(n, dtype=np.intp)
+    ties[perm] = counts[group]
+    return ranks, ties
 
 
 @dataclass(frozen=True)
@@ -178,8 +199,23 @@ class EmpiricalCopula:
 
 
 def empirical_copula(pobs: PseudoObservations) -> EmpiricalCopula:
-    """Build the empirical copula (rectangle masses) from pseudo-observations."""
+    """Build the empirical copula (rectangle masses) from pseudo-observations.
+
+    When either margin is tie-free, every pair is distinct: the copula is the
+    sample itself, in its own order with counts of 1, and the pseudo-observation
+    arrays are returned as they are.  That is exactly what deduplicating the
+    pairs would give, so the dedup sort is skipped.
+    """
     n = pobs.n
+    if pobs.n_unique_u == n or pobs.n_unique_v == n:
+        return EmpiricalCopula(
+            n=n,
+            ranks_u=pobs.ranks_u,
+            ranks_v=pobs.ranks_v,
+            ties_u=pobs.ties_u,
+            ties_v=pobs.ties_v,
+            counts=np.ones(n, dtype=np.intp),
+        )
     codes = pobs.ranks_u * (n + 1) + pobs.ranks_v
     _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)  # keep first-appearance order of the pairs
@@ -496,24 +532,28 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     come from one ``_two_strip_boards`` call: board_yx takes the same splits
     with the rows reversed.  The kernel adds each cell's contributions in the
     same order as for a single board, so this equals aggregating each copula by
-    itself.  A rectangle wider than a strip sends both boards through
-    ``checkerboard_aggregate`` and its dense overlap product.
+    itself.  A rectangle wider than a strip takes the dense overlap product of
+    ``_aggregate_rects`` instead, with the u margin's overlap matrix built once
+    for both boards: scaling it in place by the masses gives the same floats,
+    in the same layout, as ``_overlap_weights`` scaling them itself.
     """
     ecop = empirical_copula(pobs)
     N, n = resolution, ecop.n
     lo = np.stack([ecop.ranks_u - ecop.ties_u, ecop.ranks_v - ecop.ties_v]) * N
     hi = np.stack([ecop.ranks_u, ecop.ranks_v]) * N
+    w = ecop.counts / n
     if _fits_two_strips(lo, hi, n).all():
         split = _two_strip_split(lo, hi, n)
-        boards = _two_strip_boards(split, [a[::-1] for a in split], ecop.counts / n, N)
-        return tuple(CheckerboardCopula(b, validate=False) for b in boards)
-    exchanged = replace(
-        ecop, ranks_u=ecop.ranks_v, ranks_v=ecop.ranks_u, ties_u=ecop.ties_v, ties_v=ecop.ties_u
-    )
-    return (
-        checkerboard_aggregate(ecop, resolution),
-        checkerboard_aggregate(exchanged, resolution),
-    )
+        boards = _two_strip_boards(split, [a[::-1] for a in split], w, N)
+    else:
+        # no more than two (m, N) matrices alive at once: a third, for a
+        # scaled copy, raises peak memory and costs more to fault in than
+        # rebuilding the v matrix unscaled
+        gu = _overlap_weights(lo[0], hi[0], n, N)
+        board_yx = _overlap_weights(lo[1], hi[1], n, N, w).T @ gu
+        gu *= w[:, None]
+        boards = (gu.T @ _overlap_weights(lo[1], hi[1], n, N), board_yx)
+    return tuple(CheckerboardCopula(b, validate=False) for b in boards)
 
 
 # ---------------------------------------------------------------------------

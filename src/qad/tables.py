@@ -12,6 +12,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -91,19 +93,28 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
 
     missing_set = set(missing)
     values = np.full((len(data_rows), k), np.nan)
-    non_numeric = {name: 0 for name in header}
-    for i, row in enumerate(data_rows):
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell in missing_set:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if math.isfinite(value):
-                values[i, j] = value
-            else:
-                non_numeric[header[j]] += 1
+    non_numeric = {}
+    for j, name in enumerate(header):
+        cells = list(map(str.strip, map(itemgetter(j), data_rows)))
+        present = slice(None)
+        if not missing_set.isdisjoint(cells):
+            present = ~np.fromiter(map(missing_set.__contains__, cells), bool, len(cells))
+            cells = list(compress(cells, present.tolist()))
+        try:
+            parsed = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:  # some cell is not a number: convert cell by cell
+            parsed = np.fromiter(map(_parse_cell, cells), float, len(cells))
+        finite = np.isfinite(parsed)
+        # non-finite cells ("inf", "nan", ...) count as non-numeric and stay missing
+        parsed[~finite] = np.nan
+        values[present, j] = parsed
+        non_numeric[name] = int(parsed.size - np.count_nonzero(finite))
     table = DataTable(tuple(header), values)
     return table, IngestReport(n_rows=len(data_rows), non_numeric=non_numeric)
+
+
+def _parse_cell(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan

@@ -117,3 +117,25 @@ def strip_conditional_counts(xs, ys, resolution):
     for i in range(n):
         counts[rx[i] // per, ry[i] // per] += 1
     return counts / per
+
+
+def unique_max_ranks(values):
+    """Max-ranks (R, t) by ``np.unique``: R[i] = #{v_j <= v_i}, t[i] = #{v_j == v_i}."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return np.cumsum(counts)[inverse], counts[inverse]
+
+
+def dedup_empirical_copula(pobs):
+    """Empirical copula fields (ranks_u, ranks_v, ties_u, ties_v, counts) by
+    deduplicating the pseudo-observation pairs, in first-appearance order."""
+    codes = pobs.ranks_u * (pobs.n + 1) + pobs.ranks_v
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return (
+        pobs.ranks_u[first],
+        pobs.ranks_v[first],
+        pobs.ties_u[first],
+        pobs.ties_v[first],
+        counts[order],
+    )

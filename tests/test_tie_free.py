@@ -1,0 +1,208 @@
+"""The tie-free shortcuts of ranking and of the empirical copula, the dense
+fit's overlap matrices, and column-wise CSV conversion.
+
+``_max_ranks`` and ``empirical_copula`` skip their group bookkeeping when the
+sample has no ties; every result must equal the ``np.unique`` references in
+helpers.py, integer dtypes included, whichever branch is taken.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qad.copula
+from qad import BivariateSample, QadOptions, empirical_copula, ingest_csv, pseudo_observations
+from qad import qad_compute
+from qad.copula import _fit_boards, _max_ranks
+
+from helpers import dedup_empirical_copula, unique_max_ranks
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 2.5, 1e-300, -1e300]
+
+
+def _assert_same_ints(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _check_max_ranks(values):
+    for got, want in zip(_max_ranks(values), unique_max_ranks(values)):
+        _assert_same_ints(got, want)
+
+
+class TestMaxRanks:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL),
+                st.floats(allow_nan=False),
+                st.integers(-3, 3).map(float),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_equals_unique_reference(self, values):
+        values = np.array(values, dtype=float)
+        _check_max_ranks(values)
+        _check_max_ranks(np.sort(values))
+        _check_max_ranks(np.sort(values)[::-1].copy())
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([7.0], id="n1"),
+            pytest.param([-0.0, 0.0, 0.0, -0.0], id="signed_zeros"),
+            pytest.param([math.inf, -math.inf, math.inf, 0.0], id="infinities"),
+            pytest.param(np.arange(50.0), id="sorted"),
+            pytest.param(np.arange(50.0)[::-1], id="reversed"),
+            pytest.param(np.full(9, 3.0), id="constant"),
+        ],
+    )
+    def test_named_cases(self, values):
+        _check_max_ranks(np.asarray(values, dtype=float))
+
+    def test_signed_zeros_tie(self):
+        ranks, ties = _max_ranks(np.array([0.0, -0.0, 1.0]))
+        assert ranks.tolist() == [2, 2, 3]
+        assert ties.tolist() == [2, 2, 1]
+
+
+def _margin(kind, rng, n):
+    if kind == "free":
+        return rng.permutation(n) + rng.random(n) / 2
+    if kind == "rounded":
+        return np.round(rng.normal(size=n), 1)
+    return np.where(rng.random(n) < 0.4, 0.0, rng.normal(size=n))  # zero-inflated
+
+
+class TestEmpiricalCopula:
+    @pytest.mark.parametrize(
+        "kind_x, kind_y",
+        [("free", "free"), ("free", "rounded"), ("zero", "free"), ("rounded", "zero"),
+         ("rounded", "rounded")],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_equals_dedup_reference(self, kind_x, kind_y, n):
+        rng = np.random.default_rng(n)
+        pobs = pseudo_observations(
+            BivariateSample(_margin(kind_x, rng, n), _margin(kind_y, rng, n))
+        )
+        ecop = empirical_copula(pobs)
+        got = (ecop.ranks_u, ecop.ranks_v, ecop.ties_u, ecop.ties_v, ecop.counts)
+        for g, w in zip(got, dedup_empirical_copula(pobs)):
+            _assert_same_ints(g, w)
+        assert ecop.n == n
+
+    def test_tie_free_sample_is_its_own_copula(self):
+        rng = np.random.default_rng(5)
+        xs = rng.normal(size=200)
+        pobs = pseudo_observations(BivariateSample(xs, np.round(xs, 1)))
+        assert pobs.n_unique_u == pobs.n and pobs.n_unique_v < pobs.n
+        ecop = empirical_copula(pobs)
+        assert np.shares_memory(ecop.ranks_u, pobs.ranks_u)
+        assert np.shares_memory(ecop.ties_v, pobs.ties_v)
+
+    def test_tied_sample_is_deduplicated(self):
+        pobs = pseudo_observations(BivariateSample([1, 1, 2, 3], [5, 5, 6, 6]))
+        ecop = empirical_copula(pobs)
+        assert ecop.counts.tolist() == [2, 1, 1]
+        assert not np.shares_memory(ecop.ranks_u, pobs.ranks_u)
+
+
+def test_dense_fit_builds_the_u_overlap_matrix_once(monkeypatch):
+    calls = []
+    original = qad.copula._overlap_weights
+
+    def counting(lo, hi, strip_width, resolution, masses=None):
+        calls.append(masses is not None)
+        return original(lo, hi, strip_width, resolution, masses)
+
+    monkeypatch.setattr(qad.copula, "_overlap_weights", counting)
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=2000)
+    sample = BivariateSample(np.where(rng.random(2000) < 0.4, 0.0, xs), xs + rng.normal(size=2000))
+    _fit_boards(pseudo_observations(sample), 20)
+    # u once, unscaled, for both boards; v scaled for board_yx and unscaled for board_xy
+    assert calls == [False, True, False]
+    calls.clear()
+    qad_compute(sample)
+    assert calls == [False, True, False]
+
+
+def _tie_pattern(draw, kind, n):
+    """A margin of n values on a 0.01 grid: tie-free, with small tie groups,
+    or with at least half its values at 0 (a tie group wider than a strip)."""
+    if kind == "tied":
+        values = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        values[-1] = values[0]  # at least one tie
+    else:
+        values = draw(st.lists(st.integers(-500, 500), min_size=n, max_size=n, unique=True))
+        if kind == "zero":
+            values[: (n + 1) // 2] = [0] * ((n + 1) // 2)
+    return np.array(values, dtype=float) / 100
+
+
+@st.composite
+def mixed_samples(draw):
+    n = draw(st.integers(2, 120))
+    kinds = st.sampled_from(["free", "tied", "zero"])
+    return BivariateSample(_tie_pattern(draw, draw(kinds), n), _tie_pattern(draw, draw(kinds), n))
+
+
+class TestInvariantsOnBothBranches:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mixed_samples(), st.sampled_from([0, 9]))
+    def test_swap_antisymmetry_and_rank_invariance(self, sample, permutations):
+        opts = QadOptions(permutations=permutations, seed=4)
+        fwd = qad_compute(sample, opts)
+        rev = qad_compute(sample.swapped(), opts)
+        assert rev.q_yx == fwd.q_xy and rev.q_xy == fwd.q_yx
+        assert rev.asymmetry == -fwd.asymmetry
+        assert 0.0 <= fwd.q_xy <= 1.0 and 0.0 <= fwd.q_yx <= 1.0
+        # a strictly increasing transform of either margin leaves the ranks as they are
+        assert qad_compute(BivariateSample(np.exp(sample.xs), sample.ys), opts) == fwd
+        assert qad_compute(BivariateSample(sample.xs, np.exp(sample.ys)), opts) == fwd
+
+
+def _per_cell_reference(rows, missing):
+    """Cell-by-cell conversion: (values, non-numeric count per column)."""
+    values = np.full((len(rows), len(rows[0])), np.nan)
+    bad = [0] * len(rows[0])
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if cell in missing:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                values[i, j] = value
+            else:
+                bad[j] += 1
+    return values, bad
+
+
+def test_column_wise_conversion_matches_per_cell(tmp_path):
+    rng = np.random.default_rng(9)
+    pool = ["1.5", " 2 ", "x", "inf", "-inf", "nan", "-nan", "NA", "", "1e999", "-0.0", "1_0",
+            "0x1", "  "]
+    rows = [
+        [f"{v:.6g}", str(rng.choice(pool)), str(rng.choice(["NA", ""])), str(rng.choice(["a", "3"])),
+         f" {rng.integers(5)} "]
+        for v in rng.normal(size=400)
+    ]
+    path = tmp_path / "cells.csv"
+    path.write_text("a,b,c,d,e\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    table, report = ingest_csv(path)
+    values, bad = _per_cell_reference(rows, {"", "NA"})
+    assert table.values.tobytes() == values.tobytes()
+    assert report.n_rows == 400
+    assert report.non_numeric == dict(zip("abcde", bad))
+    assert bad[0] == bad[2] == bad[4] == 0 and bad[1] > 0 and bad[3] > 0
