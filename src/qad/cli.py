@@ -437,6 +437,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (flag, least valid value) of every integer flag with a lower bound
+_FLAG_MINIMA = (
+    ("threads", 1),
+    ("seed", 0),
+    ("permutations", 0),
+    ("resolution", 1),
+    ("reps", 1),
+    ("precision", 0),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -446,12 +457,12 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "network" and args.permutations < 1:
         _log("error: the network command requires --permutations > 0")
         return EXIT_USAGE
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        _log("error: --threads must be >= 1")
-        return EXIT_USAGE
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        _log("error: --seed must be >= 0")
-        return EXIT_USAGE
+    # numeric flags are checked before any data is read
+    for flag, least in _FLAG_MINIMA:
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            _log(f"error: --{flag} must be >= {least}")
+            return EXIT_USAGE
     try:
         return args.func(args)
     except DataError as exc:

@@ -198,6 +198,12 @@ class EmpiricalCopula:
         return out
 
 
+def _sample_is_its_copula(pobs: PseudoObservations) -> bool:
+    """True when a margin is tie-free: every pair is then distinct, and the
+    empirical copula is the sample itself, in its own order, with masses 1/n."""
+    return pobs.n in (pobs.n_unique_u, pobs.n_unique_v)
+
+
 def empirical_copula(pobs: PseudoObservations) -> EmpiricalCopula:
     """Build the empirical copula (rectangle masses) from pseudo-observations.
 
@@ -207,7 +213,7 @@ def empirical_copula(pobs: PseudoObservations) -> EmpiricalCopula:
     pairs would give, so the dedup sort is skipped.
     """
     n = pobs.n
-    if pobs.n_unique_u == n or pobs.n_unique_v == n:
+    if _sample_is_its_copula(pobs):
         return EmpiricalCopula(
             n=n,
             ranks_u=pobs.ranks_u,

@@ -31,6 +31,7 @@ from .copula import (
     _fit_boards,
     _fits_two_strips,
     _overlap_weights,
+    _sample_is_its_copula,
     _two_strip_boards,
     _two_strip_split,
     _zeta1_stack,
@@ -65,6 +66,16 @@ CHUNK_ELEMENTS = 1 << 14
 #: threshold to twice that; a block of this size brings both counts to about
 #: zero.  At n = 100k the temporaries outgrow it and nothing changes.
 HEAP_HINT_BYTES = 1 << 22
+
+#: The heap hint of a dense fit, one with a tie rectangle wider than a strip.
+#: Its (n, N) overlap matrices, the dependence test's gathers of them and its
+#: dense replicates' matrices are 5.6 MB each at n = 9.4k, N = 75, so under
+#: the 4 MiB hint each is mapped afresh (8000-20000 minor faults per warm
+#: ``qad_compute`` with B = 9); this one brings that to zero.  It is not the
+#: hint of every input: the 32 MiB trim threshold it sets keeps freed pages
+#: resident, and raised the estimate and permtest benchmarks' peak RSS by
+#: 0.8-1.7 MB, where the 4 MiB hint left it flat.
+DENSE_HEAP_HINT_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -147,10 +158,13 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
     return max(1, math.isqrt(min(n_unique_x, n_unique_y)))
 
 
-def _raise_malloc_thresholds():
+def _raise_malloc_thresholds(pobs, resolution):
+    """Free one untouched heap-hint block, the dense one when some tie
+    rectangle, t/n wide, is wider than a strip, 1/N."""
+    dense = max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
     # allocated and freed untouched: with glibc this costs one mmap/munmap
     # pair the first time and no page fault; other allocators just free it
-    np.empty(HEAP_HINT_BYTES, dtype=np.uint8)
+    np.empty(DENSE_HEAP_HINT_BYTES if dense else HEAP_HINT_BYTES, dtype=np.uint8)
 
 
 def _derived_rng(seed: int, stream: int, replicate: int) -> np.random.Generator:
@@ -195,7 +209,11 @@ def _observed_pairs(pobs, resolution):
 
     The replicates build their boards from per-element masses, so the
     observed statistic does too; the reported q uses the distinct-pair masses
-    of ``_fit_boards``.  The two agree to rounding but not always bitwise.
+    of ``_fit_boards``.  With ties in both margins the two agree to rounding
+    but not always bitwise.  With a tie-free margin every pair is distinct,
+    the empirical copula is the sample itself with masses 1/n, and
+    ``_fit_boards``'s board_xy is this board bit for bit, so ``qad_compute``
+    scores that board instead of calling this.
     """
     board = _board_from_ranks(
         pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v, pobs.n, resolution
@@ -205,10 +223,10 @@ def _observed_pairs(pobs, resolution):
 
 def _replicate_preamble(sample, resolution):
     """(pobs, N, observed) shared by both permutation tests."""
-    _raise_malloc_thresholds()
     pobs = pseudo_observations(sample)
     if resolution is None:
         resolution = resolution_rule(pobs.n, pobs.n_unique_u, pobs.n_unique_v)
+    _raise_malloc_thresholds(pobs, resolution)
     return pobs, resolution, _observed_pairs(pobs, resolution)
 
 
@@ -354,12 +372,12 @@ def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
     if n < 2:
         raise DegenerateInputError("need at least 2 observations")
     warnings = []
-    _raise_malloc_thresholds()
     pobs = pseudo_observations(sample)
     if opts.resolution_override is not None:
         resolution = opts.resolution_override
     else:
         resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+    _raise_malloc_thresholds(pobs, resolution)
     if resolution > n:
         warnings.append(
             f"resolution {resolution} exceeds the sample size {n}: the board is not "
@@ -380,7 +398,10 @@ def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
 
     p_q_xy = p_q_yx = p_asym = None
     if opts.permutations > 0:
-        observed = _observed_pairs(pobs, resolution)
+        if _sample_is_its_copula(pobs):
+            observed = _q_pairs(board_xy.mass[None])[0]
+        else:
+            observed = _observed_pairs(pobs, resolution)
         null_args = (pobs, resolution, opts.permutations, opts.seed, opts.threads)
         p_q_xy, p_q_yx = _dependence_p(observed, _dependence_null(*null_args))
         p_asym = _asymmetry_p(observed, _asymmetry_null(*null_args))

@@ -122,8 +122,11 @@ def prediction_table(
 
 
 def locate_strip(breaks: np.ndarray, value: float) -> int:
-    """Index of the half-open interval [b_i, b_{i+1}) containing value (last closed)."""
-    if value < breaks[0] or value > breaks[-1]:
+    """Index of the half-open interval [b_i, b_{i+1}) containing value (last closed).
+
+    NaN lies in no interval and is rejected like any value outside the range.
+    """
+    if not breaks[0] <= value <= breaks[-1]:
         raise ExtrapolationError(
             f"extrapolation not supported: {value!r} outside observed range "
             f"[{float(breaks[0])!r}, {float(breaks[-1])!r}]"

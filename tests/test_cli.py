@@ -210,6 +210,35 @@ class TestComputeCommand:
         assert abs(doc["q_xy"] - (1 - 1 / 8)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["compute", "{csv}", "--x", "a", "--y", "b", "--permutations", "-1"],
+                     "--permutations must be >= 0", id="compute-permutations"),
+        pytest.param(["compute", "{csv}", "--x", "a", "--y", "b", "--resolution", "0"],
+                     "--resolution must be >= 1", id="compute-resolution"),
+        pytest.param(["pairwise", "{csv}", "--permutations", "99", "--precision", "-1",
+                      "--out", "{out}"], "--precision must be >= 0", id="pairwise-precision"),
+        pytest.param(["pairwise", "{csv}", "--permutations", "-5", "--out", "{out}"],
+                     "--permutations must be >= 0", id="pairwise-permutations"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--precision", "-2",
+                      "--out", "{out}"], "--precision must be >= 0", id="network-precision"),
+        pytest.param(["simulate", "fgm", "--theta", "0.5", "-n", "10", "--reps", "0"],
+                     "--reps must be >= 1", id="simulate-reps"),
+        pytest.param(["simulate", "independence", "-n", "10", "--precision", "-1"],
+                     "--precision must be >= 0", id="simulate-precision"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
+    # the CSV does not exist: the flag must be rejected before any data is read
+    csv, out_dir = tmp_path / "absent.csv", tmp_path / "out"
+    code, out, err = run_cli(capsys, *(a.format(csv=csv, out=out_dir) for a in argv))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 class TestPredictCommand:
     def test_in_range_distribution(self, capsys):
         code, out, err = run_cli(
@@ -225,6 +254,14 @@ class TestPredictCommand:
     def test_extrapolation_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "predict", WDI, "--x", "birth", "--y", "death", "--at", "99.0"
+        )
+        assert code == 3
+        assert "extrapolation" in err
+        assert out == ""
+
+    def test_nan_is_extrapolation_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "predict", WDI, "--x", "birth", "--y", "death", "--at", "nan"
         )
         assert code == 3
         assert "extrapolation" in err

@@ -229,10 +229,15 @@ rng = np.random.default_rng(41)
 big, small = rng.random(10000), rng.random(1000)
 big = BivariateSample(big, np.sin(6 * big) + 0.05 * rng.standard_normal(10000))
 small = BivariateSample(small, (small - 0.5) ** 2 + 0.1 * rng.standard_normal(1000))
+z = rng.standard_normal(9400)
+zero = np.where(rng.random(9400) < 0.4, 0.0, np.abs(z + rng.standard_normal(9400)))
+dense = BivariateSample(2.0 * z + 0.5 * rng.standard_normal(9400), zero)
 calls = [
     lambda: qad_compute(big),
     lambda: qad_compute(small, QadOptions(permutations=199, seed=1)),
     lambda: permutation_test_asymmetry(small, 199, seed=1),
+    # last: a dense fit raises the heap hint for the rest of the process
+    lambda: qad_compute(dense, QadOptions(permutations=9, seed=1)),
 ]
 faults = []
 for call in calls:
@@ -250,8 +255,9 @@ print(faults)
 )
 def test_repeat_calls_do_not_page_fault():
     # the temporaries of a warm call come from the heap, not from fresh pages:
-    # with glibc's default thresholds these calls take about 1000, 13000 and
-    # 7500 minor faults each
+    # with glibc's default thresholds the first three calls take about 1000,
+    # 13000 and 7500 minor faults each; the dense one takes 8000-20000 with
+    # the 4 MiB hint that suffices for the others
     import os
     import subprocess
     import sys

@@ -122,6 +122,12 @@ class TestPredict:
         with pytest.raises(ExtrapolationError, match="extrapolation"):
             predict(table, 49.5)
 
+    def test_nan_rejected(self):
+        xs = np.arange(50, dtype=float)
+        table = prediction_table(BivariateSample(xs, xs))
+        with pytest.raises(ExtrapolationError, match="extrapolation"):
+            predict(table, float("nan"))
+
     def test_range_endpoints_included(self):
         xs = np.arange(50, dtype=float)
         table = prediction_table(BivariateSample(xs, xs))

@@ -17,6 +17,7 @@ import qad.copula
 from qad import BivariateSample, QadOptions, empirical_copula, ingest_csv, pseudo_observations
 from qad import qad_compute
 from qad.copula import _fit_boards, _max_ranks
+from qad.estimator import _observed_pairs, _q_pairs
 
 from helpers import dedup_empirical_copula, unique_max_ranks
 
@@ -132,6 +133,57 @@ def test_dense_fit_builds_the_u_overlap_matrix_once(monkeypatch):
     calls.clear()
     qad_compute(sample)
     assert calls == [False, True, False]
+
+
+class TestObservedBoardReuse:
+    """With a tie-free margin every pair is distinct, so the fitted board_xy is
+    the per-element board that scores the observed permutation statistic."""
+
+    @pytest.mark.parametrize("other", ["free", "zero", "rounded", "constant"])
+    @pytest.mark.parametrize("n", [2, 7, 40, 2000])
+    @pytest.mark.parametrize("free_side", ["x", "y"])
+    def test_fitted_board_scores_as_the_observed_board(self, other, n, free_side):
+        rng = np.random.default_rng(n)
+        free = _margin("free", rng, n)
+        tied = np.full(n, 3.0) if other == "constant" else _margin(other, rng, n)
+        sample = BivariateSample(free, tied) if free_side == "x" else BivariateSample(tied, free)
+        pobs = pseudo_observations(sample)
+        if n <= 40:
+            resolutions = range(1, 2 * n + 2)
+        else:  # the rule's resolution (dense when zero-inflated) and overrides around it
+            rule = math.isqrt(min(pobs.n_unique_u, pobs.n_unique_v))
+            resolutions = [1, 2, rule, 3 * rule]
+        for N in resolutions:
+            fitted = _q_pairs(_fit_boards(pobs, N)[0].mass[None])[0]
+            assert fitted.tobytes() == _observed_pairs(pobs, N).tobytes(), N
+
+    @pytest.mark.parametrize(
+        "kind_x, kind_y, rebuilds",
+        [("free", "zero", 0), ("rounded", "free", 0), ("free", "free", 0), ("rounded", "zero", 1)],
+    )
+    def test_qad_compute_rebuilds_the_observed_board_only_with_ties_in_both_margins(
+        self, monkeypatch, kind_x, kind_y, rebuilds
+    ):
+        import qad.estimator
+
+        calls = []
+        original = qad.estimator._observed_pairs
+
+        def counting(pobs, resolution):
+            calls.append(resolution)
+            return original(pobs, resolution)
+
+        monkeypatch.setattr(qad.estimator, "_observed_pairs", counting)
+        rng = np.random.default_rng(12)
+        sample = BivariateSample(_margin(kind_x, rng, 600), _margin(kind_y, rng, 600))
+        result = qad_compute(sample, QadOptions(permutations=9, seed=2))
+        assert len(calls) == rebuilds
+        # the standalone tests rebuild it and reach the same p-values
+        assert qad.estimator.permutation_test_dependence(sample, 9, seed=2) == (
+            result.p_q_xy,
+            result.p_q_yx,
+        )
+        assert qad.estimator.permutation_test_asymmetry(sample, 9, seed=2) == result.p_asymmetry
 
 
 def _tie_pattern(draw, kind, n):
