@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -77,20 +78,6 @@ def _emit_csv(header: str, rows, out_path, precision: int):
     lines = [header]
     lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
     _emit_lines(lines, out_path)
-
-
-def _default_threads() -> int:
-    # replicates run in chunks (one bincount board stack and one stacked zeta1
-    # per chunk); --threads maps chunks over a thread pool.  Results are seeded
-    # per replicate and do not depend on it; on 2 cores threads = 2 measured
-    # no faster than 1, so default to 1
-    env = os.environ.get("QAD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _load_pair(path, x_name, y_name, missing, delimiter):
@@ -292,7 +279,7 @@ def _cmd_network(args) -> int:
 
 def _parse_model(args):
     if args.model == "mo":
-        return MarshallOlkin(args.alpha, args.beta)
+        return MarshallOlkin(args.mo_alpha, args.beta)
     if args.model == "fgm":
         return FGM(args.theta)
     if args.model == "cd":
@@ -348,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Directional dependence estimation via checkerboard copulas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads_default = _default_threads()
 
     p = sub.add_parser("compute", help="dependence of one column pair")
     p.add_argument("file")
@@ -357,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutations", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--board-out", default=None,
                    help="also write the fitted checkerboard mass matrices as JSON")
@@ -370,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop columns whose top value share is >= P")
     p.add_argument("--permutations", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--precision", type=int, default=6)
     p.add_argument("--out", required=True, help="output directory")
     _add_io_options(p)
@@ -395,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutations", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--filter-ties", type=float, default=None, metavar="P")
-    p.add_argument("--threads", type=int, default=threads_default)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--precision", type=int, default=6)
     p.add_argument("--influence-test", choices=("sign", "signrank"), default="sign")
     p.add_argument("--out", required=True, help="output directory")
@@ -411,12 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
         if with_reps:
             sp.add_argument("--reps", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=threads_default)
+        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--precision", type=int, default=6)
         sp.add_argument("--out", default=None)
 
     sp = model_sub.add_parser("mo", help="Marshall-Olkin copula")
-    sp.add_argument("--alpha", type=float, required=True)
+    # not "alpha": network's --alpha, a significance level, is range-checked
+    sp.add_argument("--alpha", dest="mo_alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     common_sim(sp)
     sp = model_sub.add_parser("fgm", help="Farlie-Gumbel-Morgenstern copula")
@@ -437,14 +424,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: (flag, least valid value) of every integer flag with a lower bound
-_FLAG_MINIMA = (
-    ("threads", 1),
-    ("seed", 0),
-    ("permutations", 0),
-    ("resolution", 1),
-    ("reps", 1),
-    ("precision", 0),
+#: the least positive float: a low bound of _ABOVE_0 excludes 0 and nothing else
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+
+#: (flag, low, high) of every numeric flag with a valid range, bounds included
+_FLAG_RANGES = (
+    ("threads", 1, math.inf),
+    ("seed", 0, math.inf),
+    ("permutations", 0, math.inf),
+    ("resolution", 1, math.inf),
+    ("reps", 1, math.inf),
+    ("precision", 0, math.inf),
+    ("alpha", _ABOVE_0, 1),
+    ("q_threshold", 0, 1),
+    ("filter_ties", _ABOVE_0, 1),
 )
 
 
@@ -457,11 +450,13 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "network" and args.permutations < 1:
         _log("error: the network command requires --permutations > 0")
         return EXIT_USAGE
-    # numeric flags are checked before any data is read
-    for flag, least in _FLAG_MINIMA:
+    # numeric flags are checked before any data is read; NaN fails every bound
+    for flag, low, high in _FLAG_RANGES:
         value = getattr(args, flag, None)
-        if value is not None and value < least:
-            _log(f"error: --{flag} must be >= {least}")
+        if value is not None and not low <= value <= high:
+            left = "(0" if low == _ABOVE_0 else f"[{low}"
+            valid = f">= {low}" if high == math.inf else f"in {left}, {high}]"
+            _log(f"error: --{flag.replace('_', '-')} must be {valid}")
             return EXIT_USAGE
     try:
         return args.func(args)

@@ -420,27 +420,42 @@ def _two_strip_boards(u_split, v_split, masses, resolution):
 
 
 def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
-    """Cell masses of the N-grid aggregation of a rectangle measure.
+    """Cell masses (C, N, N) of the N-grid aggregation of a stack of rectangle
+    measures.
 
-    All coordinates are integers on a common scale where strip boundaries sit
-    at multiples of ``strip_width``; overlap fractions are then exact up to
-    one rounding each.  When no rectangle is wider than a strip, each meets at
-    most two strips per axis and one bincount places the masses; otherwise the
-    board is the product of the two axes' overlap matrices from
-    ``_overlap_weights``, the first scaled by the masses.
+    Row c of the bound arrays is one measure of the rectangles' common
+    ``masses``; a side shared by every row may be passed once as (1, m).  All
+    coordinates are integers on a common scale where strip boundaries sit at
+    multiples of ``strip_width``; overlap fractions are then exact up to one
+    rounding each.  Rows whose rectangles are all no wider than a strip, so
+    that each meets at most two strips per axis, share one bincount; a row
+    with a wider rectangle is the product of the two axes' overlap matrices
+    from ``_overlap_weights``, the first scaled by the masses.
     """
-    if _fits_two_strips(lo_u, hi_u, strip_width) and _fits_two_strips(
+    N = resolution
+    fits = _fits_two_strips(lo_u, hi_u, strip_width) & _fits_two_strips(
         lo_v, hi_v, strip_width
-    ):
+    )
+    if fits.all():
         return _two_strip_boards(
-            _two_strip_split(lo_u[None], hi_u[None], strip_width),
-            _two_strip_split(lo_v[None], hi_v[None], strip_width),
+            _two_strip_split(lo_u, hi_u, strip_width),
+            _two_strip_split(lo_v, hi_v, strip_width),
             masses,
-            resolution,
-        )[0]
-    gu = _overlap_weights(lo_u, hi_u, strip_width, resolution, masses)
-    gv = _overlap_weights(lo_v, hi_v, strip_width, resolution)
-    return gu.T @ gv
+            N,
+        )
+    lo_u, hi_u, lo_v, hi_v = np.broadcast_arrays(lo_u, hi_u, lo_v, hi_v)
+    boards = np.empty((fits.size, N, N))
+    if fits.any():
+        boards[fits] = _two_strip_boards(
+            _two_strip_split(lo_u[fits], hi_u[fits], strip_width),
+            _two_strip_split(lo_v[fits], hi_v[fits], strip_width),
+            masses,
+            N,
+        )
+    for c in np.flatnonzero(~fits):
+        gu = _overlap_weights(lo_u[c], hi_u[c], strip_width, N, masses)
+        boards[c] = gu.T @ _overlap_weights(lo_v[c], hi_v[c], strip_width, N)
+    return boards
 
 
 def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
@@ -450,38 +465,11 @@ def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
     every sample may be passed once as (1, n).  Element i spreads mass 1/n
     uniformly on [(R_u - t_u)/n, R_u/n] x [(R_v - t_v)/n, R_v/n]; summing
     elements of a tied pair reproduces the rectangle masses of the empirical
-    copula.  Rows whose rectangles are all no wider than a strip, so that each
-    meets at most two strips per axis, share one bincount; a row with a wider
-    rectangle takes the dense overlap product of ``_aggregate_rects`` alone.
+    copula.
     """
     N = resolution
-    lo_u, hi_u = (ranks_u - ties_u) * N, ranks_u * N
-    lo_v, hi_v = (ranks_v - ties_v) * N, ranks_v * N
-    masses = np.full(n, 1.0 / n)
-    fits = _fits_two_strips(lo_u, hi_u, n) & _fits_two_strips(lo_v, hi_v, n)
-    if fits.all():
-        return _two_strip_boards(
-            _two_strip_split(lo_u, hi_u, n), _two_strip_split(lo_v, hi_v, n), masses, N
-        )
-    lo_u, hi_u, lo_v, hi_v = np.broadcast_arrays(lo_u, hi_u, lo_v, hi_v)
-    boards = np.empty((fits.size, N, N))
-    if fits.any():
-        boards[fits] = _two_strip_boards(
-            _two_strip_split(lo_u[fits], hi_u[fits], n),
-            _two_strip_split(lo_v[fits], hi_v[fits], n),
-            masses,
-            N,
-        )
-    for c in np.flatnonzero(~fits):
-        boards[c] = _aggregate_rects(lo_u[c], hi_u[c], lo_v[c], hi_v[c], masses, n, N)
-    return boards
-
-
-def _board_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
-    """Checkerboard mass matrix of one sample from its max-rank arrays."""
-    return _boards_from_ranks(
-        ranks_u[None], ties_u[None], ranks_v[None], ties_v[None], n, resolution
-    )[0]
+    lo_u, lo_v = (ranks_u - ties_u) * N, (ranks_v - ties_v) * N
+    return _aggregate_rects(lo_u, ranks_u * N, lo_v, ranks_v * N, np.full(n, 1.0 / n), n, N)
 
 
 def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
@@ -496,29 +484,23 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
     if N < 1:
         raise ValueError("resolution must be >= 1")
     if isinstance(copula, EmpiricalCopula):
-        n = copula.n
+        ru, tu, rv, tv = copula.ranks_u, copula.ties_u, copula.ranks_v, copula.ties_v
         mass = _aggregate_rects(
-            (copula.ranks_u - copula.ties_u) * N,
-            copula.ranks_u * N,
-            (copula.ranks_v - copula.ties_v) * N,
-            copula.ranks_v * N,
-            copula.counts / n,
-            n,
+            ((ru - tu) * N)[None],
+            (ru * N)[None],
+            ((rv - tv) * N)[None],
+            (rv * N)[None],
+            copula.counts / copula.n,
+            copula.n,
             N,
-        )
+        )[0]
     elif isinstance(copula, CheckerboardCopula):
         M = copula.resolution
         idx = np.arange(M)
-        iu, iv = np.meshgrid(idx, idx, indexing="ij")
+        iu, iv = (a.ravel()[None] for a in np.meshgrid(idx, idx, indexing="ij"))
         mass = _aggregate_rects(
-            iu.ravel() * N,
-            (iu.ravel() + 1) * N,
-            iv.ravel() * N,
-            (iv.ravel() + 1) * N,
-            copula.mass.ravel(),
-            M,
-            N,
-        )
+            iu * N, (iu + 1) * N, iv * N, (iv + 1) * N, copula.mass.ravel(), M, N
+        )[0]
     else:
         raise TypeError("expected EmpiricalCopula or CheckerboardCopula")
     return CheckerboardCopula(mass, validate=False)

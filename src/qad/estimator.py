@@ -19,14 +19,13 @@ runs on the stack, with the same arithmetic per board as a single estimate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .copula import (
     BivariateSample,
-    _board_from_ranks,
     _boards_from_ranks,
     _fit_boards,
     _fits_two_strips,
@@ -76,6 +75,11 @@ HEAP_HINT_BYTES = 1 << 22
 #: resident, and raised the estimate and permtest benchmarks' peak RSS by
 #: 0.8-1.7 MB, where the 4 MiB hint left it flat.
 DENSE_HEAP_HINT_BYTES = 1 << 24
+
+#: The most float64 cells (512 MiB) one array of a fit at an overridden
+#: resolution may hold.  The rule's N <= sqrt(n) grows with the data and is
+#: not bounded: its boards stay below n cells.
+MAX_FIT_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -158,13 +162,29 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
     return max(1, math.isqrt(min(n_unique_x, n_unique_y)))
 
 
-def _raise_malloc_thresholds(pobs, resolution):
-    """Free one untouched heap-hint block, the dense one when some tie
-    rectangle, t/n wide, is wider than a strip, 1/N."""
-    dense = max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
-    # allocated and freed untouched: with glibc this costs one mmap/munmap
-    # pair the first time and no page fault; other allocators just free it
+def _prepare(sample, resolution=None):
+    """(pobs, N): the sample ranked once and the resolution, the rule's unless
+    ``resolution`` overrides it; an override is checked against ``MAX_FIT_CELLS``.
+
+    A fit is dense when some tie rectangle, t/n wide, is wider than a strip,
+    1/N; its largest array is then an (n, N) overlap matrix (or the board, if
+    N > n).  An untouched heap-hint block, the dense one on a dense fit, is
+    allocated and freed: with glibc this costs one mmap/munmap pair the first
+    time and no page fault; other allocators just free it.
+    """
+    pobs = pseudo_observations(sample)
+    n, N = pobs.n, resolution
+    if N is None:
+        N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+    dense = max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * N > n
+    cells = N * (max(N, n) if dense else N)
+    if resolution is not None and cells > MAX_FIT_CELLS:
+        raise ValueError(
+            f"resolution {N} is too large for n = {n}: one array of the fit would "
+            f"hold {cells} cells, above the limit of {MAX_FIT_CELLS}"
+        )
     np.empty(DENSE_HEAP_HINT_BYTES if dense else HEAP_HINT_BYTES, dtype=np.uint8)
+    return pobs, N
 
 
 def _derived_rng(seed: int, stream: int, replicate: int) -> np.random.Generator:
@@ -185,19 +205,14 @@ def _replicate_chunks(B: int, n: int, resolution: int):
     return [range(start, min(start + size, B)) for start in range(0, B, size)]
 
 
-def _run_replicates(chunk_q, B: int, n: int, resolution: int, threads: int) -> np.ndarray:
-    """(B, 2) replicate (q_xy, q_yx) pairs from ``chunk_q(range) -> (C, 2)``.
-
-    Replicate seeds make any schedule equivalent, so with ``threads > 1`` the
-    chunks are mapped over a thread pool.
-    """
-    chunks = _replicate_chunks(B, n, resolution)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(chunk_q, chunks))
-    else:
-        parts = [chunk_q(chunk) for chunk in chunks]
-    return np.concatenate(parts)
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """``[fn(task) for task in tasks]``, over a pool of up to ``threads`` threads
+    when there are two or more of each; tasks seed themselves, so the schedule
+    cannot change the list."""
+    if threads > 1 and len(tasks) > 1:
+        with futures.ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _p_value(exceedances, B: int) -> float:
@@ -215,19 +230,8 @@ def _observed_pairs(pobs, resolution):
     ``_fit_boards``'s board_xy is this board bit for bit, so ``qad_compute``
     scores that board instead of calling this.
     """
-    board = _board_from_ranks(
-        pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v, pobs.n, resolution
-    )
-    return _q_pairs(board[None])[0]
-
-
-def _replicate_preamble(sample, resolution):
-    """(pobs, N, observed) shared by both permutation tests."""
-    pobs = pseudo_observations(sample)
-    if resolution is None:
-        resolution = resolution_rule(pobs.n, pobs.n_unique_u, pobs.n_unique_v)
-    _raise_malloc_thresholds(pobs, resolution)
-    return pobs, resolution, _observed_pairs(pobs, resolution)
+    ranks = (pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v)
+    return _q_pairs(_boards_from_ranks(*(a[None] for a in ranks), pobs.n, resolution))[0]
 
 
 def _dependence_null(pobs, N, permutations, seed, threads):
@@ -263,7 +267,7 @@ def _dependence_null(pobs, N, permutations, seed, threads):
         )
         return _q_pairs(boards(perms))
 
-    return _run_replicates(chunk_q, permutations, n, N, threads)
+    return np.concatenate(_map_tasks(chunk_q, _replicate_chunks(permutations, n, N), threads))
 
 
 def _stack_max_ranks(values: np.ndarray, n: int):
@@ -293,19 +297,7 @@ def _asymmetry_null(pobs, N, permutations, seed, threads):
         rvb, tvb = _stack_max_ranks(np.where(swap, ru, rv), n)
         return _q_pairs(_boards_from_ranks(rub, tub, rvb, tvb, n, N))
 
-    return _run_replicates(chunk_q, permutations, n, N, threads)
-
-
-def _dependence_replicates(sample, permutations, seed, resolution, threads):
-    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test."""
-    pobs, N, observed = _replicate_preamble(sample, resolution)
-    return observed, _dependence_null(pobs, N, permutations, seed, threads)
-
-
-def _asymmetry_replicates(sample, permutations, seed, resolution, threads):
-    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test."""
-    pobs, N, observed = _replicate_preamble(sample, resolution)
-    return observed, _asymmetry_null(pobs, N, permutations, seed, threads)
+    return np.concatenate(_map_tasks(chunk_q, _replicate_chunks(permutations, n, N), threads))
 
 
 def _dependence_p(observed, null):
@@ -333,7 +325,9 @@ def permutation_test_dependence(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    return _dependence_p(*_dependence_replicates(sample, permutations, seed, resolution, threads))
+    pobs, N = _prepare(sample, resolution)
+    null = _dependence_null(pobs, N, permutations, seed, threads)
+    return _dependence_p(_observed_pairs(pobs, N), null)
 
 
 def permutation_test_asymmetry(
@@ -353,7 +347,9 @@ def permutation_test_asymmetry(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
-    return _asymmetry_p(*_asymmetry_replicates(sample, permutations, seed, resolution, threads))
+    pobs, N = _prepare(sample, resolution)
+    null = _asymmetry_null(pobs, N, permutations, seed, threads)
+    return _asymmetry_p(_observed_pairs(pobs, N), null)
 
 
 def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:
@@ -372,12 +368,7 @@ def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
     if n < 2:
         raise DegenerateInputError("need at least 2 observations")
     warnings = []
-    pobs = pseudo_observations(sample)
-    if opts.resolution_override is not None:
-        resolution = opts.resolution_override
-    else:
-        resolution = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    _raise_malloc_thresholds(pobs, resolution)
+    pobs, resolution = _prepare(sample, opts.resolution_override)
     if resolution > n:
         warnings.append(
             f"resolution {resolution} exceeds the sample size {n}: the board is not "

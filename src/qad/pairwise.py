@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .copula import BivariateSample, _max_ranks
 from .errors import DataError
-from .estimator import QadOptions, qad_compute
+from .estimator import QadOptions, _map_tasks, qad_compute
 
 __all__ = [
     "DataTable",
@@ -167,7 +166,9 @@ def pairwise_qad(
     Rows with a missing value in either column of a pair are excluded for
     that pair only.  Pairs with fewer than 2 complete rows, or with an
     infinite value in a complete row, yield NaN cells and a warning naming
-    the pair and the reason rather than an error.
+    the pair and the reason rather than an error.  ``threads`` runs pairs in
+    parallel, and each pair's estimate replaces ``opts.threads`` by 1: pairs,
+    not replicates, run in parallel.
     """
     k = table.n_columns
     if k < 2:
@@ -197,7 +198,6 @@ def pairwise_qad(
         if np.isinf(cols[complete]).any():
             return f, j, "non-finite values", int(xs.size)
         sample = _canonical_pair(xs, ys)
-        # parallelism lives at the pair level; keep inner permutation loops serial
         pair_opts = replace(
             opts,
             seed=_pair_seed(opts.seed, table.names[f], table.names[j]),
@@ -205,13 +205,7 @@ def pairwise_qad(
         )
         return f, j, qad_compute(sample, pair_opts), int(xs.size)
 
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-
-    for f, j, result, n_pair in results:
+    for f, j, result, n_pair in _map_tasks(one, pairs, threads):
         n_used[f, j] = n_used[j, f] = n_pair
         if isinstance(result, str):
             warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {result}")

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import BivariateSample, _fit_boards, pseudo_observations
+from .copula import BivariateSample, _fit_boards
 from .errors import ExtrapolationError
-from .estimator import resolution_rule
+from .estimator import _prepare
 
 __all__ = ["PredictionTable", "prediction_table", "predict"]
 
@@ -107,9 +107,7 @@ def prediction_table(
     """
     if direction not in ("xy", "yx"):
         raise ValueError("direction must be 'xy' or 'yx'")
-    pobs = pseudo_observations(sample)
-    if resolution is None:
-        resolution = resolution_rule(sample.n, pobs.n_unique_u, pobs.n_unique_v)
+    pobs, resolution = _prepare(sample, resolution)
     board = _fit_boards(pobs, resolution)[0 if direction == "xy" else 1]
     cond = board.mass * resolution
     return PredictionTable(

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .copula import BivariateSample, CheckerboardCopula
-from .estimator import QadOptions, qad_compute
+from .estimator import QadOptions, _map_tasks, qad_compute
 
 __all__ = [
     "MarshallOlkin",
@@ -381,11 +381,4 @@ def convergence_experiment(
             ref_yx=ref_yx,
         )
 
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
-    return ExperimentResult(tuple(rows))
+    return ExperimentResult(tuple(_map_tasks(one, tasks, threads)))

@@ -30,7 +30,7 @@ from qad import (
     qad_compute,
     zeta1,
 )
-from qad.copula import _board_from_ranks, _max_ranks
+from qad.copula import _boards_from_ranks, _max_ranks
 from qad.simulate import (
     FGM,
     CompletelyDependent,
@@ -179,7 +179,7 @@ def test_criterion_6_unaggregated_negative_control():
             sample = sample_model(Independence(), n, seed_seq)
             ru, tu = _max_ranks(sample.xs)
             rv, tv = _max_ranks(sample.ys)
-            board = _board_from_ranks(ru, tu, rv, tv, n, n)
+            board = _boards_from_ranks(ru[None], tu[None], rv[None], tv[None], n, n)[0]
             value = 3 * d1_pi(CheckerboardCopula(board, validate=False))
             assert value > 0.9
 

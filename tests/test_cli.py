@@ -227,6 +227,26 @@ class TestComputeCommand:
                      "--reps must be >= 1", id="simulate-reps"),
         pytest.param(["simulate", "independence", "-n", "10", "--precision", "-1"],
                      "--precision must be >= 0", id="simulate-precision"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--alpha", "7", "--out", "{out}"],
+                     "--alpha must be in (0, 1]", id="network-alpha-above"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--alpha", "0", "--out", "{out}"],
+                     "--alpha must be in (0, 1]", id="network-alpha-zero"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--alpha", "nan",
+                      "--out", "{out}"], "--alpha must be in (0, 1]", id="network-alpha-nan"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--q-threshold", "nan",
+                      "--out", "{out}"], "--q-threshold must be in [0, 1]", id="network-q-nan"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--q-threshold", "-0.1",
+                      "--out", "{out}"], "--q-threshold must be in [0, 1]", id="network-q-below"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--q-threshold", "1.5",
+                      "--out", "{out}"], "--q-threshold must be in [0, 1]", id="network-q-above"),
+        pytest.param(["network", "{csv}", "--permutations", "9", "--filter-ties", "nan",
+                      "--out", "{out}"], "--filter-ties must be in (0, 1]", id="network-ties-nan"),
+        pytest.param(["pairwise", "{csv}", "--filter-ties", "2", "--out", "{out}"],
+                     "--filter-ties must be in (0, 1]", id="pairwise-ties-above"),
+        pytest.param(["pairwise", "{csv}", "--filter-ties", "0", "--out", "{out}"],
+                     "--filter-ties must be in (0, 1]", id="pairwise-ties-zero"),
+        pytest.param(["pairwise", "{csv}", "--filter-ties", "-1", "--out", "{out}"],
+                     "--filter-ties must be in (0, 1]", id="pairwise-ties-negative"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
@@ -237,6 +257,29 @@ def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
     assert f"error: {message}" in err
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_range_bounds_are_accepted(capsys, tmp_path):
+    # the closed ends of each float range, and Marshall-Olkin's own --alpha,
+    # which is a copula parameter in [0, 1] rather than a significance level
+    code, _, err = run_cli(
+        capsys, "network", WDI, "--permutations", "9", "--alpha", "1", "--q-threshold", "0",
+        "--filter-ties", "1", "--out", str(tmp_path / "net"),
+    )
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "simulate", "mo", "--alpha", "0", "--beta", "0.5", "-n", "5")
+    assert code == 0, err
+    assert out.startswith("x,y\n")
+
+
+def test_oversized_resolution_is_named_error(capsys):
+    code, out, err = run_cli(
+        capsys, "compute", WDI, "--x", "birth", "--y", "death", "--resolution", "100000"
+    )
+    assert code == 4
+    assert "error: resolution 100000 is too large for n = 178" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 class TestPredictCommand:

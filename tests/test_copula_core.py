@@ -22,7 +22,7 @@ from qad import (
     zeta1,
 )
 from qad.copula import (
-    _board_from_ranks,
+    _boards_from_ranks,
     _delta_overlap_matrix,
     _fit_boards,
     _max_ranks,
@@ -544,7 +544,7 @@ class TestUnaggregatedLimit:
         xs, ys = rng.random(n), rng.random(n)
         ru, tu = _max_ranks(xs)
         rv, tv = _max_ranks(ys)
-        board = _board_from_ranks(ru, tu, rv, tv, n, n)
+        board = _boards_from_ranks(ru[None], tu[None], rv[None], tv[None], n, n)[0]
         value = 3 * d1_pi(CheckerboardCopula(board, validate=False))
         assert_allclose(value, 1 - 1 / (2 * n), atol=1e-10)
 

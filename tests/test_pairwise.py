@@ -202,6 +202,19 @@ class TestPairwiseQad:
         assert np.array_equal(a.q, b.q, equal_nan=True)
         assert np.array_equal(a.p_q, b.p_q, equal_nan=True)
 
+    def test_threads_identical_on_dense_pairs(self):
+        # about 40 % zeros in one column: a tie rectangle wider than a strip,
+        # so its pairs take the dense overlap product under the pair pool
+        table = make_table(seed=61, n=300, k=4)
+        values = table.values.copy()
+        values[np.random.default_rng(62).random(300) < 0.4, 0] = 0.0
+        table = DataTable(table.names, values)
+        opts = QadOptions(permutations=19, seed=3)
+        a = pairwise_qad(table, opts, threads=1)
+        b = pairwise_qad(table, opts, threads=2)
+        for field in ("q", "p_q", "asymmetry", "p_asymmetry", "n_used"):
+            assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+
 
 class TestInfluence:
     def test_two_variable_negation(self):

@@ -23,18 +23,37 @@ from qad import (
 from qad import copula
 from qad.copula import (
     CheckerboardCopula,
-    _board_from_ranks,
     _boards_from_ranks,
     _max_ranks,
     _zeta1_stack,
     zeta1,
 )
 from qad.estimator import (
-    _asymmetry_replicates,
-    _dependence_replicates,
+    _asymmetry_null,
+    _dependence_null,
+    _observed_pairs,
+    _prepare,
     _replicate_chunks,
     _stack_max_ranks,
 )
+
+
+def _dependence_replicates(sample, B, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test."""
+    pobs, N = _prepare(sample, resolution)
+    return _observed_pairs(pobs, N), _dependence_null(pobs, N, B, seed, threads)
+
+
+def _asymmetry_replicates(sample, B, seed, resolution, threads):
+    """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test."""
+    pobs, N = _prepare(sample, resolution)
+    return _observed_pairs(pobs, N), _asymmetry_null(pobs, N, B, seed, threads)
+
+
+def _board_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
+    """One sample's board, a stack of one through ``_boards_from_ranks``."""
+    ranks = (ranks_u, ties_u, ranks_v, ties_v)
+    return _boards_from_ranks(*(a[None] for a in ranks), n, resolution)[0]
 
 
 def _tie_free(n=1000):
