@@ -6,6 +6,12 @@ grid, and scored with metrics built from conditional distribution functions.
 All metric values are computed in closed form: the conditional CDFs of a
 checkerboard are piecewise linear, so integrals of absolute differences reduce
 to per-cell trapezoid/root formulas and suprema to finite candidate sets.
+
+The two kernels every estimate and replicate runs skip only work whose result
+is known exactly: the two-strip aggregation leaves out bincount entries of
+weight +0.0 (a cell starts at +0.0 and gains no negative weight, so adding
++0.0 changes no bit), and the zeta1 cell integral evaluates the root formula
+only on cells whose ends change sign, the cells where it would be chosen.
 """
 
 from __future__ import annotations
@@ -169,33 +175,6 @@ class EmpiricalCopula:
     def m(self) -> int:
         """Number of distinct pseudo-observation pairs."""
         return self.counts.size
-
-    def rects(self):
-        """The (u', v', r, s, t) records, one per distinct pair."""
-        n = self.n
-        return [
-            (ru / n, rv / n, int(r), int(s), int(t))
-            for ru, rv, r, s, t in zip(
-                self.ranks_u, self.ranks_v, self.ties_u, self.ties_v, self.counts
-            )
-        ]
-
-    def margin_masses(self, axis: int) -> np.ndarray:
-        """Total mass per 1/n-slab along ``axis`` (0 = first coordinate).
-
-        A valid empirical copula has uniform margins: every entry is 1/n.
-        """
-        if axis == 0:
-            ranks, ties = self.ranks_u, self.ties_u
-        elif axis == 1:
-            ranks, ties = self.ranks_v, self.ties_v
-        else:
-            raise ValueError("axis must be 0 or 1")
-        out = np.zeros(self.n)
-        masses = self.counts / (self.n * ties)  # mass per covered slab
-        for rank, tie, m in zip(ranks, ties, masses):
-            out[rank - tie : rank] += m
-        return out
 
 
 def _sample_is_its_copula(pobs: PseudoObservations) -> bool:
@@ -387,12 +366,15 @@ def _fits_two_strips(lo, hi, strip_width):
 
 
 def _two_strip_split(lo, hi, strip_width):
-    """Strip indices and first-strip weight when every span fits in <= 2 strips."""
+    """Strip indices and first-strip weight when every span fits in <= 2 strips;
+    the weight is divided out only for spans that cross a boundary
+    (i1 == i0 + 1) and is exactly 1.0 for the rest (i1 == i0)."""
     i0 = lo // strip_width
     i1 = (hi - 1) // strip_width
-    boundary = (i0 + 1) * strip_width
-    span = (hi - lo).astype(float)
-    w0 = np.where(i1 > i0, (boundary - lo) / span, 1.0)
+    w0 = np.ones(i0.shape)
+    k = np.flatnonzero(i1 > i0)
+    lo_k = lo.ravel()[k]
+    w0.flat[k] = ((i0.ravel()[k] + 1) * strip_width - lo_k) / (hi.ravel()[k] - lo_k)
     return i0, i1, w0
 
 
@@ -401,21 +383,36 @@ def _two_strip_boards(u_split, v_split, masses, resolution):
 
     ``u_split``/``v_split`` are ``_two_strip_split`` results whose arrays
     broadcast to (C, m): a side shared by every measure may be passed once as
-    (1, m).  Each board receives its cells' contributions in the same order
-    as it would alone, so a board of the stack is bit-identical to the board
-    computed by itself.
+    (1, m).  Each rectangle adds ``(masses * wu) * wv`` to its (i0, j0) cell
+    and, only where it crosses a boundary, the 1 - w shares to the next row,
+    column or both.  An entry left out would weigh +0.0: a cell starts at +0.0
+    and gains no negative weight, so it never holds -0.0 and adding +0.0
+    changes no bit.  Entries go block by block, the (i0, j0) block of the
+    whole stack first, so each board, owning its cells, gets their
+    contributions in the order it would get them alone.
     """
     i0, i1, wu = u_split
     j0, j1, wv = v_split
     N = resolution
-    C = np.broadcast_shapes(np.shape(i0), np.shape(j0))[0]
-    idx = np.concatenate([ii * N + jj for ii in (i0, i1) for jj in (j0, j1)], axis=1)
+    C, m = np.broadcast_shapes(np.shape(i0), np.shape(j0))
+
+    def pick(a, k):  # entries k of ``a`` broadcast to (C, m) and flattened
+        return a.ravel()[k] if a.shape[0] == C else a.ravel()[k % m]
+
+    v_cross = j1 > j0
+    ku = np.flatnonzero(np.broadcast_to(i1 > i0, (C, m)))
+    kv = np.flatnonzero(np.broadcast_to(v_cross, (C, m)))
+    both = pick(v_cross, ku)
+    cell = i0 * N + j0
     if C > 1:
-        idx += np.arange(C)[:, None] * (N * N)  # board c owns cells c*N*N onward
-    w = np.concatenate(
-        [masses * wi * wj for wi in (wu, 1.0 - wu) for wj in (wv, 1.0 - wv)], axis=1
-    )
-    flat = np.bincount(idx.ravel(), weights=w.ravel(), minlength=C * N * N)
+        cell += np.arange(C)[:, None] * (N * N)  # board c owns cells c*N*N onward
+    cell = cell.ravel()
+    mu = masses * wu
+    mu1, wv1 = masses[ku % m] * (1.0 - pick(wu, ku)), pick(wv, ku)
+    w00, w01 = (mu * wv).ravel(), pick(mu, kv) * (1.0 - pick(wv, kv))
+    w10, w11 = mu1 * wv1, mu1[both] * (1.0 - wv1[both])
+    idx = np.concatenate([cell, cell[kv] + 1, cell[ku] + N, cell[ku[both]] + (N + 1)])
+    flat = np.bincount(idx, weights=np.concatenate([w00, w01, w10, w11]), minlength=C * N * N)
     return flat.reshape(C, N, N)
 
 
@@ -549,29 +546,18 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
 # ---------------------------------------------------------------------------
 
 
+def _strip_cdfs(mass: np.ndarray) -> np.ndarray:
+    """Conditional CDF values K(strip i, [0, (j + 1)/N]) = N * sum_{l <= j}
+    mass[i, l] at the right cell boundaries, for a board or a stack of them;
+    at the left boundary, 0, every K is +0.0."""
+    return np.cumsum(mass, axis=-1) * mass.shape[-1]
+
+
 def _boundary_cdfs(mass: np.ndarray) -> np.ndarray:
-    """Conditional CDF values at cell boundaries, one row per strip.
-
-    Entry (i, j) is K(strip i, [0, j/N]) = N * sum_{l <= j} mass[i, l];
-    column 0 is identically zero.  A (C, N, N) stack of boards gives a
-    (C, N, N + 1) stack.
-    """
-    N = mass.shape[-1]
-    out = np.zeros(mass.shape[:-1] + (N + 1,))
-    out[..., 1:] = np.cumsum(mass, axis=-1) * N
+    """``_strip_cdfs`` with the left boundary as column 0, (..., N, N + 1)."""
+    out = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
+    out[..., 1:] = _strip_cdfs(mass)
     return out
-
-
-def _abs_linear_cell_base(d0, d1):
-    """Per-cell integral of |linear segment| over a unit-width cell.
-
-    The segment runs from d0 to d1.  Same sign: trapezoid; sign change:
-    split at the root.  Multiply by the cell width to get the true integral.
-    """
-    a0 = np.abs(d0)
-    a1 = np.abs(d1)
-    denom = np.maximum(a0 + a1, 1e-300)
-    return np.where(d0 * d1 >= 0.0, (a0 + a1) / 2.0, (d0 * d0 + d1 * d1) / (2.0 * denom))
 
 
 def _mass_of(cb) -> np.ndarray:
@@ -583,14 +569,29 @@ def _check_same_resolution(a, b):
         raise ValueError("checkerboards must have equal resolution")
 
 
-def _cells_integral(e: np.ndarray) -> np.ndarray:
-    """Integral of |K| over the unit square for each (N, N + 1) boundary-value
-    grid of a (C, N, N + 1) stack.  The N * N cells of a grid are summed as one
-    contiguous row, so a grid's value does not depend on the stack around it.
+def _cells_integral(d: np.ndarray) -> np.ndarray:
+    """Integral of |K| over the unit square for each board of a (C, N, N) stack
+    of conditional-CDF differences at the right cell boundaries.
+
+    On cell (i, j), K is linear from d0, the flat array's previous value or
+    +0.0 at j = 0, to d1.  Every cell takes the trapezoid (|d0| + |d1|) / 2;
+    only cells with d0 * d1 < 0.0 then take the split at the root,
+    (d0^2 + d1^2) / (2 (|d0| + |d1|)), the floats of choosing per cell.  A
+    board's N * N cells are summed as one contiguous row, whatever the stack.
     """
-    C, N = e.shape[:2]
-    base = _abs_linear_cell_base(e[..., :-1], e[..., 1:])
-    return base.reshape(C, N * N).sum(axis=1) / (N * N)
+    C, N = d.shape[:2]
+    d = d.reshape(-1)
+    a = np.abs(d)
+    s = np.empty_like(a)  # |d0| + |d1|
+    np.add(a[:-1], a[1:], out=s[1:])
+    s[::N] = a[::N]  # +0.0 + |d1| at each row start
+    k = np.flatnonzero(d[:-1] * d[1:] < 0.0) + 1
+    k = k[k % N != 0]  # a row start has d0 = +0.0, so no sign change
+    d0, d1 = d[k - 1], d[k]
+    root = (d0 * d0 + d1 * d1) / (2.0 * np.maximum(s[k], 1e-300))
+    s /= 2.0
+    s[k] = root
+    return s.reshape(C, N * N).sum(axis=1) / (N * N)
 
 
 def d1(cb_a, cb_b) -> float:
@@ -601,26 +602,20 @@ def d1(cb_a, cb_b) -> float:
     """
     ma, mb = _mass_of(cb_a), _mass_of(cb_b)
     _check_same_resolution(ma, mb)
-    return float(_cells_integral((_boundary_cdfs(ma) - _boundary_cdfs(mb))[None])[0])
-
-
-def _product_boundary_row(resolution: int) -> np.ndarray:
-    # bitwise identical to any row of _boundary_cdfs(independence board)
-    row = np.zeros(resolution + 1)
-    row[1:] = np.cumsum(np.full(resolution, 1.0 / (resolution * resolution))) * resolution
-    return row
+    return float(_cells_integral((_strip_cdfs(ma) - _strip_cdfs(mb))[None])[0])
 
 
 def _d1_pi_stack(mass: np.ndarray) -> np.ndarray:
     """D1 distance from the product copula of each board in a (C, N, N) stack.
 
-    The product's conditional CDF is the same in every strip, so its boundary
-    row is broadcast rather than materialized as a full board; the result is
+    The product's conditional CDF is the same in every strip, so its row is
+    broadcast rather than materialized as a full board; the result is
     bit-identical to d1(board, independence board).
     """
-    e = _boundary_cdfs(mass)
-    e -= _product_boundary_row(mass.shape[-1])
-    return _cells_integral(e)
+    N = mass.shape[-1]
+    d = _strip_cdfs(mass)
+    d -= _strip_cdfs(np.full(N, 1.0 / (N * N)))  # a row of the product's board
+    return _cells_integral(d)
 
 
 def _zeta1_stack(mass: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Shared test utilities: independent oracles and random-board generation.
+"""Shared test utilities: independent oracles, reference kernels and
+random-board generation.
 
 The oracles here deliberately avoid the library's closed-form code paths:
 metric values are recomputed by brute-force Riemann summation and cell masses
 by direct rectangle-intersection arithmetic, so agreement is evidence rather
-than tautology.
+than tautology.  The reference kernels at the end are the straightforward
+forms of two optimized library kernels, which must match them bit for bit.
 """
 
 import numpy as np
@@ -139,3 +141,92 @@ def dedup_empirical_copula(pobs):
         pobs.ties_v[first],
         counts[order],
     )
+
+
+def ecop_rects(ecop):
+    """The (u', v', r, s, t) records of an empirical copula, one per distinct pair."""
+    n = ecop.n
+    return [
+        (ru / n, rv / n, int(r), int(s), int(t))
+        for ru, rv, r, s, t in zip(
+            ecop.ranks_u, ecop.ranks_v, ecop.ties_u, ecop.ties_v, ecop.counts
+        )
+    ]
+
+
+def margin_masses(ecop, axis):
+    """Total mass of an empirical copula per 1/n-slab along ``axis`` (0 = first
+    coordinate), one rectangle at a time; uniform margins give 1/n everywhere."""
+    if axis == 0:
+        ranks, ties = ecop.ranks_u, ecop.ties_u
+    elif axis == 1:
+        ranks, ties = ecop.ranks_v, ecop.ties_v
+    else:
+        raise ValueError("axis must be 0 or 1")
+    out = np.zeros(ecop.n)
+    masses = ecop.counts / (ecop.n * ties)  # mass per covered slab
+    for rank, tie, m in zip(ranks, ties, masses):
+        out[rank - tie : rank] += m
+    return out
+
+
+# Reference kernels: the two-strip aggregation and the zeta1 cell integral as
+# they were before the library skipped their exactly-zero work.  They evaluate
+# every entry and both branches everywhere; the library must equal them bit
+# for bit.
+
+
+def four_block_two_strip_split(lo, hi, strip_width):
+    """Strip indices and first-strip weight, the weight evaluated for every span."""
+    i0 = lo // strip_width
+    i1 = (hi - 1) // strip_width
+    boundary = (i0 + 1) * strip_width
+    span = (hi - lo).astype(float)
+    w0 = np.where(i1 > i0, (boundary - lo) / span, 1.0)
+    return i0, i1, w0
+
+
+def four_block_two_strip_boards(u_split, v_split, masses, resolution):
+    """Cell masses (C, N, N): all four (strip, strip) entries of every rectangle,
+    zero weights included, board by board in one bincount."""
+    i0, i1, wu = u_split
+    j0, j1, wv = v_split
+    N = resolution
+    C = np.broadcast_shapes(np.shape(i0), np.shape(j0))[0]
+    idx = np.concatenate([ii * N + jj for ii in (i0, i1) for jj in (j0, j1)], axis=1)
+    if C > 1:
+        idx += np.arange(C)[:, None] * (N * N)
+    w = np.concatenate(
+        [masses * wi * wj for wi in (wu, 1.0 - wu) for wj in (wv, 1.0 - wv)], axis=1
+    )
+    flat = np.bincount(idx.ravel(), weights=w.ravel(), minlength=C * N * N)
+    return flat.reshape(C, N, N)
+
+
+def where_abs_linear_cell_base(d0, d1):
+    """Integral of |linear segment from d0 to d1| over a unit-width cell, both
+    the trapezoid and the root split evaluated everywhere."""
+    a0 = np.abs(d0)
+    a1 = np.abs(d1)
+    denom = np.maximum(a0 + a1, 1e-300)
+    return np.where(d0 * d1 >= 0.0, (a0 + a1) / 2.0, (d0 * d0 + d1 * d1) / (2.0 * denom))
+
+
+def where_cells_integral(e):
+    """Integral of |K| over the unit square for each (N, N + 1) boundary-value
+    grid of a (C, N, N + 1) stack, the N * N cells summed as one row."""
+    C, N = e.shape[:2]
+    base = where_abs_linear_cell_base(e[..., :-1], e[..., 1:])
+    return base.reshape(C, N * N).sum(axis=1) / (N * N)
+
+
+def where_d1_pi_stack(mass):
+    """D1 distance from the product copula of each board of a (C, N, N) stack,
+    on the (N, N + 1) boundary grids."""
+    N = mass.shape[-1]
+    e = np.zeros(mass.shape[:-1] + (N + 1,))
+    e[..., 1:] = np.cumsum(mass, axis=-1) * N
+    row = np.zeros(N + 1)
+    row[1:] = np.cumsum(np.full(N, 1.0 / (N * N))) * N
+    e -= row
+    return where_cells_integral(e)

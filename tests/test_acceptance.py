@@ -43,7 +43,7 @@ from qad.simulate import (
     zeta1_closed_form,
 )
 
-from helpers import riemann_d1_pi, sinkhorn_board
+from helpers import ecop_rects, riemann_d1_pi, sinkhorn_board
 
 
 @contextlib.contextmanager
@@ -79,7 +79,7 @@ def test_criterion_1_exact_math():
         assert_allclose(pobs.vs, np.array([6, 4, 2, 5, 2, 4]) / 6)
         ecop = empirical_copula(pobs)
         assert ecop.m == 5
-        assert [(t, r, s) for (_, _, r, s, t) in ecop.rects()] == [
+        assert [(t, r, s) for (_, _, r, s, t) in ecop_rects(ecop)] == [
             (1, 1, 1), (2, 3, 2), (1, 1, 2), (1, 3, 1), (1, 1, 2),
         ]
         board = checkerboard_aggregate(ecop, 2)

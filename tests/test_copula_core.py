@@ -23,19 +23,29 @@ from qad import (
 )
 from qad.copula import (
     _boards_from_ranks,
+    _cells_integral,
+    _d1_pi_stack,
     _delta_overlap_matrix,
     _fit_boards,
     _max_ranks,
     _overlap_weights,
+    _two_strip_boards,
+    _two_strip_split,
 )
 
 from helpers import (
     ecop_rect_tuples,
+    ecop_rects,
+    four_block_two_strip_boards,
+    four_block_two_strip_split,
+    margin_masses,
     overlap_cell_masses,
     riemann_d1,
     riemann_d1_pi,
     riemann_d_infty_markov,
     sinkhorn_board,
+    where_cells_integral,
+    where_d1_pi_stack,
 )
 
 # the worked count-data sample with ties used throughout
@@ -93,7 +103,7 @@ class TestEmpiricalCopula:
     def test_tied_sample_rect_table(self):
         e = empirical_copula(pseudo_observations(TIED_SAMPLE))
         assert e.m == 5
-        recs = e.rects()
+        recs = ecop_rects(e)
         got = [(t, r, s) for (_, _, r, s, t) in recs]
         assert got == [(1, 1, 1), (2, 3, 2), (1, 1, 2), (1, 3, 1), (1, 1, 2)]
         assert_allclose([u for (u, _, _, _, _) in recs], np.array([6, 5, 2, 5, 1]) / 6)
@@ -117,8 +127,8 @@ class TestEmpiricalCopula:
             xs = rng.integers(0, 6, n).astype(float)
             ys = rng.integers(0, 6, n).astype(float)
             e = empirical_copula(pseudo_observations(BivariateSample(xs, ys)))
-            assert_allclose(e.margin_masses(0), np.full(n, 1 / n), atol=1e-12)
-            assert_allclose(e.margin_masses(1), np.full(n, 1 / n), atol=1e-12)
+            assert_allclose(margin_masses(e, 0), np.full(n, 1 / n), atol=1e-12)
+            assert_allclose(margin_masses(e, 1), np.full(n, 1 / n), atol=1e-12)
 
 
 class TestEcopCdf:
@@ -459,6 +469,88 @@ class TestOverlapWeights:
     def test_random_ties_and_resolutions(self, pairs, resolution):
         xs, ys = np.array(pairs, dtype=float).T
         _check_overlap_weights(xs, ys, resolution)
+
+
+def _two_strip_rects(rng, rows, m, N, width, crossing):
+    """(rows, m) integer bounds of rectangles no wider than a strip, on N strips
+    of ``width``: crossing "none" keeps each inside one strip, "all" puts a
+    strip boundary strictly inside each, "mixed" places them anywhere."""
+    span = rng.integers(1 if crossing != "all" else 2, width + 1, (rows, m))
+    if crossing == "mixed":
+        lo = rng.integers(0, N * width - span + 1)
+    elif crossing == "none":
+        lo = rng.integers(0, N, (rows, m)) * width + rng.integers(0, width - span + 1)
+    else:
+        lo = rng.integers(1, N, (rows, m)) * width - rng.integers(1, span)
+    return lo, lo + span
+
+
+class TestKernelsMatchReferences:
+    """The two-strip boards and the zeta1 cell integral skip work that cannot
+    change a float; they must equal the reference kernels byte for byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 40),
+        st.integers(1, 8),
+        st.integers(1, 12),
+        st.sampled_from([(1, 1), (1, 0), (0, 1), (0, 0)]),
+        st.sampled_from(["mixed", "none", "all"]),
+    )
+    def test_two_strip_boards(self, seed, C, m, N, width, shared, crossing):
+        if crossing == "all" and (N < 2 or width < 2):
+            crossing = "mixed"
+        rng = np.random.default_rng(seed)
+        splits = []
+        for side_shared in shared:  # a shared side is one (1, m) row
+            lo, hi = _two_strip_rects(rng, 1 if side_shared else C, m, N, width, crossing)
+            new, ref = _two_strip_split(lo, hi, width), four_block_two_strip_split(lo, hi, width)
+            assert all(_same_bits(a, b) for a, b in zip(new, ref))
+            splits.append(new)
+        masses = rng.random(m) / m
+        assert _same_bits(
+            _two_strip_boards(*splits, masses, N), four_block_two_strip_boards(*splits, masses, N)
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 9),
+        st.sampled_from([0.0, 0.3, 0.8]),
+    )
+    def test_cells_integral(self, seed, C, N, zeros):
+        # few distinct values, so that ends of both signs, exact zeros of both
+        # signs, exact sign changes and constant rows all occur
+        rng = np.random.default_rng(seed)
+        values = [-2.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5]
+        d = rng.choice(values, (C, N, N))
+        d = np.where(rng.random((C, N, N)) < 0.2, rng.normal(size=(C, N, N)), d)
+        d[rng.random((C, N)) < zeros] = 0.0
+        const = rng.random((C, N)) < 0.2
+        d[const] = rng.choice(values, (const.sum(), 1))
+        e = np.concatenate([np.zeros((C, N, 1)), d], axis=-1)
+        assert _same_bits(_cells_integral(d), where_cells_integral(e))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9))
+    def test_d1_pi_stack(self, seed, C, N):
+        # boards with zero rows, rows at the product's 1/N^2, which match it
+        # exactly, and rows whose conditional CDF crosses the product's
+        rng = np.random.default_rng(seed)
+        mass = rng.random((C, N, N)) * (rng.random((C, N, N)) < 0.5) / N**2
+        kind = rng.integers(0, 3, (C, N))
+        mass[kind == 0] = 0.0
+        mass[kind == 1] = 1.0 / (N * N)
+        for stack in (mass, mass.transpose(0, 2, 1)):
+            got = _d1_pi_stack(np.ascontiguousarray(stack))
+            assert _same_bits(got, where_d1_pi_stack(stack))
+        a, b = mass[0], mass[-1]
+        e = np.zeros((1, N, N + 1))
+        e[0, :, 1:] = np.cumsum(a, axis=-1) * N - np.cumsum(b, axis=-1) * N
+        assert _same_bits(np.array([d1(a, b)]), where_cells_integral(e))
 
 
 class TestSupMetrics:
