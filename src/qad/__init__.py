@@ -5,123 +5,24 @@ through empirical checkerboard copulas and conditional-distribution metrics,
 with permutation-based significance, conditional prediction tables, pairwise
 dependence matrices with influence/network analysis, and a simulation harness
 with closed-form ground truths.
+
+The package re-exports each submodule's ``__all__`` and nothing else: a name
+becomes public by adding it to its module's ``__all__``.
 """
 
-from .copula import (
-    BivariateSample,
-    CheckerboardCopula,
-    EmpiricalCopula,
-    PseudoObservations,
-    checkerboard_aggregate,
-    conditional_cdf,
-    d1,
-    d1_pi,
-    d_infty,
-    d_infty_markov,
-    ecop_cdf,
-    empirical_copula,
-    extremal_metric_pair,
-    pseudo_observations,
-    transpose,
-    zeta1,
-)
-from .errors import DataError, DegenerateInputError, ExtrapolationError
-from .estimator import (
-    QadOptions,
-    QadResult,
-    permutation_test_asymmetry,
-    permutation_test_dependence,
-    qad_compute,
-    resolution_rule,
-)
-from .pairwise import (
-    Correlations,
-    DataTable,
-    DependencyNetwork,
-    FilterReport,
-    InfluenceSummary,
-    PairwiseResult,
-    baseline_correlations,
-    build_network,
-    filter_columns,
-    influence_summary,
-    pairwise_qad,
-)
-from .prediction import PredictionTable, predict, prediction_table
-from .simulate import (
-    FGM,
-    SHAPE_NAMES,
-    CompletelyDependent,
-    CopulaModel,
-    ExperimentResult,
-    ExperimentRow,
-    Independence,
-    MarshallOlkin,
-    ShapeGenerator,
-    analytic_checkerboard,
-    convergence_experiment,
-    generate_shape,
-    sample_model,
-    zeta1_closed_form,
-)
-from .tables import IngestReport, ingest_csv
+from . import copula, errors, estimator, pairwise, prediction, simulate, tables
+from .copula import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .pairwise import *  # noqa: F403
+from .prediction import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateSample",
-    "PseudoObservations",
-    "EmpiricalCopula",
-    "CheckerboardCopula",
-    "pseudo_observations",
-    "empirical_copula",
-    "ecop_cdf",
-    "checkerboard_aggregate",
-    "conditional_cdf",
-    "d1_pi",
-    "zeta1",
-    "transpose",
-    "d_infty",
-    "d1",
-    "d_infty_markov",
-    "extremal_metric_pair",
-    "QadOptions",
-    "QadResult",
-    "resolution_rule",
-    "qad_compute",
-    "permutation_test_dependence",
-    "permutation_test_asymmetry",
-    "PredictionTable",
-    "prediction_table",
-    "predict",
-    "DataTable",
-    "FilterReport",
-    "PairwiseResult",
-    "InfluenceSummary",
-    "DependencyNetwork",
-    "Correlations",
-    "filter_columns",
-    "pairwise_qad",
-    "influence_summary",
-    "build_network",
-    "baseline_correlations",
-    "MarshallOlkin",
-    "FGM",
-    "CompletelyDependent",
-    "Independence",
-    "CopulaModel",
-    "ShapeGenerator",
-    "SHAPE_NAMES",
-    "sample_model",
-    "zeta1_closed_form",
-    "generate_shape",
-    "analytic_checkerboard",
-    "ExperimentRow",
-    "ExperimentResult",
-    "convergence_experiment",
-    "ingest_csv",
-    "IngestReport",
-    "DataError",
-    "ExtrapolationError",
-    "DegenerateInputError",
+    name
+    for module in (copula, estimator, prediction, pairwise, simulate, tables, errors)
+    for name in module.__all__
 ]

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .simulate import (
     FGM,
     SHAPE_NAMES,
     CompletelyDependent,
+    ExperimentRow,
     Independence,
     MarshallOlkin,
     ShapeGenerator,
@@ -39,7 +41,7 @@ from .simulate import (
     generate_shape,
     sample_model,
 )
-from .tables import DEFAULT_MISSING, ingest_csv
+from .tables import DEFAULT_MISSING, _check_delimiter, ingest_csv
 
 SCHEMA = "qad/1"
 EXIT_OK = 0
@@ -250,18 +252,10 @@ def _cmd_network(args) -> int:
         os.path.join(args.out, "node_metrics.csv"),
         prec,
     )
-    columns = (
-        infl.median_influence,
-        infl.q25_influence,
-        infl.q75_influence,
-        infl.mean_influence_given,
-        infl.mean_influence_received,
-        infl.p_median_positive,
-    )
+    columns = [f.name for f in fields(infl) if f.name not in ("variables", "method")]
     _emit_csv(
-        "variable,median_influence,q25_influence,q75_influence,"
-        "mean_influence_given,mean_influence_received,p_median_positive",
-        [(name, *(c[i] for c in columns)) for i, name in enumerate(infl.variables)],
+        ",".join(["variable", *columns]),
+        [(name, *(getattr(infl, c)[i] for c in columns)) for i, name in enumerate(infl.variables)],
         os.path.join(args.out, "influence.csv"),
         prec,
     )
@@ -300,15 +294,8 @@ def _cmd_simulate(args) -> int:
         result = convergence_experiment(
             _parse_model(args), args.n, args.reps, args.seed, threads=args.threads
         )
-        _emit_csv(
-            "model,params,n,replicate,q_xy,q_yx,ref_xy,ref_yx",
-            [
-                (r.model, r.params, r.n, r.replicate, r.q_xy, r.q_yx, r.ref_xy, r.ref_yx)
-                for r in result.rows
-            ],
-            args.out,
-            prec,
-        )
+        header = ",".join(f.name for f in fields(ExperimentRow))
+        _emit_csv(header, map(astuple, result.rows), args.out, prec)
         return EXIT_OK
     _emit_csv("x,y", zip(sample.xs.tolist(), sample.ys.tolist()), args.out, prec)
     return EXIT_OK
@@ -449,6 +436,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if getattr(args, "command", None) == "network" and args.permutations < 1:
         _log("error: the network command requires --permutations > 0")
+        return EXIT_USAGE
+    if getattr(args, "model", None) == "shape" and len(args.n) > 1:
+        _log("error: simulate shape draws one sample: give one size to -n")
+        return EXIT_USAGE
+    try:
+        _check_delimiter(getattr(args, "delimiter", None))
+    except ValueError as exc:
+        _log(f"error: --{exc}")
         return EXIT_USAGE
     # numeric flags are checked before any data is read; NaN fails every bound
     for flag, low, high in _FLAG_RANGES:

@@ -359,12 +359,6 @@ def _overlap_weights(lo, hi, strip_width, resolution, masses=None):
     return out
 
 
-def _fits_two_strips(lo, hi, strip_width):
-    """Per row of a stack: whether no span exceeds one strip width, so that
-    every rectangle meets at most two strips."""
-    return np.max(hi - lo, axis=-1) <= strip_width
-
-
 def _two_strip_split(lo, hi, strip_width):
     """Strip indices and first-strip weight when every span fits in <= 2 strips;
     the weight is divided out only for spans that cross a boundary
@@ -430,9 +424,8 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
     from ``_overlap_weights``, the first scaled by the masses.
     """
     N = resolution
-    fits = _fits_two_strips(lo_u, hi_u, strip_width) & _fits_two_strips(
-        lo_v, hi_v, strip_width
-    )
+    widest = np.maximum(np.max(hi_u - lo_u, axis=-1), np.max(hi_v - lo_v, axis=-1))
+    fits = widest <= strip_width
     if fits.all():
         return _two_strip_boards(
             _two_strip_split(lo_u, hi_u, strip_width),
@@ -503,6 +496,13 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
     return CheckerboardCopula(mass, validate=False)
 
 
+def _dense(pobs: PseudoObservations, resolution: int) -> bool:
+    """Whether a fit at resolution N is dense: some tie rectangle, t/n wide, is
+    wider than a strip, 1/N, so its boards take the overlap product of
+    ``_overlap_weights`` instead of the two-strip splits."""
+    return max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
+
+
 def _fit_boards(pobs: PseudoObservations, resolution: int):
     """The fitted checkerboards (board_xy, board_yx) of a sample at resolution N.
 
@@ -517,17 +517,17 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     come from one ``_two_strip_boards`` call: board_yx takes the same splits
     with the rows reversed.  The kernel adds each cell's contributions in the
     same order as for a single board, so this equals aggregating each copula by
-    itself.  A rectangle wider than a strip takes the dense overlap product of
-    ``_aggregate_rects`` instead, with the u margin's overlap matrix built once
-    for both boards: scaling it in place by the masses gives the same floats,
-    in the same layout, as ``_overlap_weights`` scaling them itself.
+    itself.  A dense fit takes the overlap product of ``_aggregate_rects``
+    instead, with the u margin's overlap matrix built once for both boards:
+    scaling it in place by the masses gives the same floats, in the same
+    layout, as ``_overlap_weights`` scaling them itself.
     """
     ecop = empirical_copula(pobs)
     N, n = resolution, ecop.n
     lo = np.stack([ecop.ranks_u - ecop.ties_u, ecop.ranks_v - ecop.ties_v]) * N
     hi = np.stack([ecop.ranks_u, ecop.ranks_v]) * N
     w = ecop.counts / n
-    if _fits_two_strips(lo, hi, n).all():
+    if not _dense(pobs, N):
         split = _two_strip_split(lo, hi, n)
         boards = _two_strip_boards(split, [a[::-1] for a in split], w, N)
     else:
@@ -539,6 +539,29 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
         gu *= w[:, None]
         boards = (gu.T @ _overlap_weights(lo[1], hi[1], n, N), board_yx)
     return tuple(CheckerboardCopula(b, validate=False) for b in boards)
+
+
+def _permuted_boards(pobs: PseudoObservations, resolution: int):
+    """``boards(perms)``: the (C, N, N) boards of the sample with its y side
+    re-paired through each row of a (C, n) stack of permutations, as
+    ``_boards_from_ranks`` builds them.
+
+    Each side is prepared once: the strip splits, or, on a dense fit, the
+    overlap matrices of the dense product (the x side scaled by the masses).
+    A permutation gathers the y side's rows, which does not change which of
+    the two paths applies.
+    """
+    N, n = resolution, pobs.n
+    lo_u, hi_u = (pobs.ranks_u - pobs.ties_u) * N, pobs.ranks_u * N
+    lo_v, hi_v = (pobs.ranks_v - pobs.ties_v) * N, pobs.ranks_v * N
+    masses = np.full(n, 1.0 / n)
+    if not _dense(pobs, N):
+        u_split = _two_strip_split(lo_u[None], hi_u[None], n)
+        v_split = _two_strip_split(lo_v, hi_v, n)
+        return lambda perms: _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
+    gu = _overlap_weights(lo_u, hi_u, n, N, masses).T
+    gv = _overlap_weights(lo_v, hi_v, n, N)
+    return lambda perms: np.stack([gu @ gv[perm] for perm in perms])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: DataError -> 3, DegenerateInputError -> 4.
 """
 
+__all__ = ["DataError", "ExtrapolationError", "DegenerateInputError"]
+
 
 class DataError(Exception):
     """Malformed or unusable input data (files, columns, ranges)."""

@@ -22,19 +22,17 @@ from __future__ import annotations
 
 import math
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .copula import (
     BivariateSample,
     _boards_from_ranks,
+    _dense,
     _fit_boards,
-    _fits_two_strips,
-    _overlap_weights,
+    _permuted_boards,
     _sample_is_its_copula,
-    _two_strip_boards,
-    _two_strip_split,
     _zeta1_stack,
     pseudo_observations,
     zeta1,
@@ -78,6 +76,9 @@ HEAP_HINT_BYTES = 1 << 22
 #: 0.8-1.7 MB, where the 4 MiB hint left it flat.
 DENSE_HEAP_HINT_BYTES = 1 << 24
 
+#: Sample sizes below this draw a warning: the rule gives at most three strips.
+MIN_N_WARNING = 16
+
 #: The most float64 cells (512 MiB) one array of a fit at an overridden
 #: resolution may hold.  The rule's N <= sqrt(n) grows with the data and is
 #: not bounded: its boards stay below n cells.
@@ -95,7 +96,6 @@ class QadOptions:
     permutations: int = 0
     seed: int = 0
     resolution_override: int | None = None
-    min_n_warning_threshold: int = 16
     threads: int = 1
 
     def __post_init__(self):
@@ -131,27 +131,11 @@ class QadResult:
     warnings: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        """Stable field order for JSON serialization; p-values omitted if absent."""
-        out = {
-            "q_xy": self.q_xy,
-            "q_yx": self.q_yx,
-            "mean_dependence": self.mean_dependence,
-            "asymmetry": self.asymmetry,
-        }
-        if self.p_q_xy is not None:
-            out["p_q_xy"] = self.p_q_xy
-            out["p_q_yx"] = self.p_q_yx
-            out["p_asymmetry"] = self.p_asymmetry
-        out.update(
-            {
-                "n": self.n,
-                "n_unique_x": self.n_unique_x,
-                "n_unique_y": self.n_unique_y,
-                "resolution": self.resolution,
-                "warnings": list(self.warnings),
-            }
-        )
-        return out
+        """The fields in declaration order for JSON serialization; the
+        p-values, the only fields that can be None, are omitted if absent."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["warnings"] = list(self.warnings)
+        return {key: value for key, value in out.items() if value is not None}
 
 
 def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
@@ -168,17 +152,16 @@ def _prepare(sample, resolution=None):
     """(pobs, N): the sample ranked once and the resolution, the rule's unless
     ``resolution`` overrides it; an override is checked against ``MAX_FIT_CELLS``.
 
-    A fit is dense when some tie rectangle, t/n wide, is wider than a strip,
-    1/N; its largest array is then an (n, N) overlap matrix (or the board, if
-    N > n).  An untouched heap-hint block, the dense one on a dense fit, is
-    allocated and freed: with glibc this costs one mmap/munmap pair the first
-    time and no page fault; other allocators just free it.
+    The largest array of a dense fit is an (n, N) overlap matrix (or the
+    board, if N > n).  An untouched heap-hint block, the dense one on a dense
+    fit, is allocated and freed: with glibc this costs one mmap/munmap pair
+    the first time and no page fault; other allocators just free it.
     """
     pobs = pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    dense = max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * N > n
+    dense = _dense(pobs, N)
     cells = N * (max(N, n) if dense else N)
     if resolution is not None and cells > MAX_FIT_CELLS:
         raise ValueError(
@@ -241,29 +224,11 @@ def _observed_pairs(pobs, resolution):
 def _dependence_null(pobs, N, permutations, seed, threads):
     """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
-    Each side is prepared once: the strip splits, or, when a tie rectangle is
-    wider than a strip, the overlap matrices of the dense product (the x side
-    scaled by the masses).  Replicate b gathers the y side's rows through its
-    permutation, which does not change which of the two paths applies.
+    Replicate b pairs the x side with the y side permuted by its own stream;
+    ``_permuted_boards`` prepares both sides once for every replicate.
     """
     n = pobs.n
-    ru, tu, rv, tv = pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v
-    lo_u, hi_u = (ru - tu) * N, ru * N
-    lo_v, hi_v = (rv - tv) * N, rv * N
-    masses = np.full(n, 1.0 / n)
-    if _fits_two_strips(lo_u, hi_u, n) and _fits_two_strips(lo_v, hi_v, n):
-        u_split = _two_strip_split(lo_u[None], hi_u[None], n)
-        v_split = _two_strip_split(lo_v, hi_v, n)
-
-        def boards(perms):
-            return _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
-
-    else:
-        gu = _overlap_weights(lo_u, hi_u, n, N, masses).T
-        gv = _overlap_weights(lo_v, hi_v, n, N)
-
-        def boards(perms):
-            return np.stack([gu @ gv[perm] for perm in perms])
+    boards = _permuted_boards(pobs, N)
 
     def chunk_q(chunk):
         perms = np.stack(
@@ -379,10 +344,8 @@ def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
             f"resolution {resolution} exceeds the sample size {n}: the board is not "
             "aggregated and q is biased toward 1 even under independence"
         )
-    if n < opts.min_n_warning_threshold:
-        warnings.append(
-            f"sample size {n} below recommended minimum ({opts.min_n_warning_threshold})"
-        )
+    if n < MIN_N_WARNING:
+        warnings.append(f"sample size {n} below recommended minimum ({MIN_N_WARNING})")
     if pobs.n_unique_u == 1:
         warnings.append("x is constant; dependence is 0 in both directions")
     if pobs.n_unique_v == 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError
 from .pairwise import DataTable
 
-__all__ = ["IngestReport", "ingest_csv"]
+__all__ = ["ingest_csv", "IngestReport"]
 
 DEFAULT_MISSING = ("", "NA")
 
@@ -57,17 +57,25 @@ def _line_in_file(text: str, index: int) -> int:
     return [no for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()][index]
 
 
+def _check_delimiter(delimiter):
+    """A delimiter is None (sniffed) or one character that can split a line."""
+    if delimiter is not None and (len(delimiter) != 1 or delimiter in "\r\n"):
+        raise ValueError(f"delimiter must be one character, not a line break: {delimiter!r}")
+
+
 def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     """Read a delimited text file with a header row of unique column names.
 
-    Returns (DataTable, IngestReport).  Raises DataError for unreadable
-    files, duplicate or empty headers, ragged rows, and zero data rows.
-    Blank lines are skipped; a ragged row is named by its line in the file.
+    Returns (DataTable, IngestReport).  Raises DataError for unreadable or
+    non-UTF-8 files, duplicate or empty headers, ragged rows, and zero data
+    rows, and ValueError for a bad ``delimiter``.  Blank lines are skipped; a
+    ragged row is named by its line in the file.
     """
+    _check_delimiter(delimiter)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -94,6 +94,21 @@ class TestIngest:
         table, _ = ingest_csv(path)
         assert table.names == ("a", "b")
 
+    def test_non_utf8_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match=f"cannot read {path}: .*0xff"):
+            ingest_csv(path)
+        code, out, err = run_cli(capsys, "compute", str(path), "--x", "a", "--y", "b")
+        assert code == 3
+        assert f"error: cannot read {path}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\n", "\r"])
+    def test_bad_delimiter_rejected(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            ingest_csv(WDI, delimiter=delimiter)
+
 
 class TestComputeCommand:
     def test_wdi_birth_death(self, capsys):
@@ -247,6 +262,12 @@ class TestComputeCommand:
                      "--filter-ties must be in (0, 1]", id="pairwise-ties-zero"),
         pytest.param(["pairwise", "{csv}", "--filter-ties", "-1", "--out", "{out}"],
                      "--filter-ties must be in (0, 1]", id="pairwise-ties-negative"),
+        pytest.param(["compute", "{csv}", "--x", "a", "--y", "b", "--delimiter", ""],
+                     "--delimiter must be one character", id="compute-delimiter-empty"),
+        pytest.param(["pairwise", "{csv}", "--delimiter", ";;", "--out", "{out}"],
+                     "--delimiter must be one character", id="pairwise-delimiter-long"),
+        pytest.param(["simulate", "shape", "linear", "-n", "10,20"],
+                     "simulate shape draws one sample", id="simulate-shape-sizes"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
@@ -431,7 +452,10 @@ class TestNetworkCommand:
         nodes = (out_dir / "node_metrics.csv").read_text().splitlines()
         assert nodes[0] == "node,degree,betweenness,hub_score"
         infl = (out_dir / "influence.csv").read_text().splitlines()
-        assert infl[0].startswith("variable,median_influence")
+        assert infl[0] == (
+            "variable,median_influence,q25_influence,q75_influence,"
+            "mean_influence_given,mean_influence_received,p_median_positive"
+        )
         assert (out_dir / "network.graphml").exists()
         import networkx as nx
 

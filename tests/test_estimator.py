@@ -154,11 +154,14 @@ class TestQadCompute:
     def test_result_serialization_shape(self):
         xs = np.arange(30, dtype=float)
         plain = qad_compute(BivariateSample(xs, xs)).to_dict()
-        assert "p_q_xy" not in plain
+        head = ["q_xy", "q_yx", "mean_dependence", "asymmetry"]
+        tail = ["n", "n_unique_x", "n_unique_y", "resolution", "warnings"]
+        assert list(plain) == head + tail
+        assert plain["warnings"] == []
         tested = qad_compute(
             BivariateSample(xs, xs), QadOptions(permutations=9, seed=0)
         ).to_dict()
-        assert set(tested) >= {"q_xy", "q_yx", "p_q_xy", "p_q_yx", "p_asymmetry"}
+        assert list(tested) == head + ["p_q_xy", "p_q_yx", "p_asymmetry"] + tail
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

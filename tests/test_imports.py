@@ -60,3 +60,33 @@ def test_network_sign_test_does_not_import_scipy(tmp_path):
     ]
     report = _heavy_modules_after(commands)
     assert report == {"import": [], "network": [0, "networkx"]}
+
+
+#: the public surface, as each module's ``__all__`` declares it
+PUBLIC = {
+    "BivariateSample", "PseudoObservations", "EmpiricalCopula", "CheckerboardCopula",
+    "pseudo_observations", "empirical_copula", "ecop_cdf", "checkerboard_aggregate",
+    "conditional_cdf", "d1_pi", "zeta1", "transpose", "d_infty", "d1", "d_infty_markov",
+    "extremal_metric_pair",
+    "QadOptions", "QadResult", "resolution_rule", "qad_compute",
+    "permutation_test_dependence", "permutation_test_asymmetry",
+    "PredictionTable", "prediction_table", "predict",
+    "DataTable", "FilterReport", "PairwiseResult", "InfluenceSummary", "DependencyNetwork",
+    "Correlations", "filter_columns", "pairwise_qad", "influence_summary", "build_network",
+    "baseline_correlations",
+    "MarshallOlkin", "FGM", "CompletelyDependent", "Independence", "CopulaModel",
+    "ShapeGenerator", "SHAPE_NAMES", "sample_model", "zeta1_closed_form", "generate_shape",
+    "analytic_checkerboard", "ExperimentRow", "ExperimentResult", "convergence_experiment",
+    "ingest_csv", "IngestReport",
+    "DataError", "ExtrapolationError", "DegenerateInputError",
+}
+
+
+def test_public_names_are_the_modules_all_lists():
+    import qad
+
+    assert len(PUBLIC) == 55
+    assert len(qad.__all__) == len(set(qad.__all__))
+    assert set(qad.__all__) == PUBLIC
+    for name in qad.__all__:
+        assert getattr(qad, name) is not None
