@@ -289,10 +289,10 @@ def _cmd_simulate(args) -> int:
     elif args.reps == 1 and len(args.n) == 1:
         # single replicate: emit the raw sample so it can feed `compute`
         seeds = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 0))
-        sample = sample_model(_parse_model(args), args.n[0], seeds)
+        sample = sample_model(args.copula, args.n[0], seeds)
     else:
         result = convergence_experiment(
-            _parse_model(args), args.n, args.reps, args.seed, threads=args.threads
+            args.copula, args.n, args.reps, args.seed, threads=args.threads
         )
         header = ",".join(f.name for f in fields(ExperimentRow))
         _emit_csv(header, map(astuple, result.rows), args.out, prec)
@@ -452,6 +452,12 @@ def main(argv=None) -> int:
             left = "(0" if low == _ABOVE_0 else f"[{low}"
             valid = f">= {low}" if high == math.inf else f"in {left}, {high}]"
             _log(f"error: --{flag.replace('_', '-')} must be {valid}")
+            return EXIT_USAGE
+    if getattr(args, "command", None) == "simulate":
+        try:  # the model classes check their own parameter ranges
+            args.copula = _parse_model(args)
+        except ValueError as exc:
+            _log(f"error: {exc}")
             return EXIT_USAGE
     try:
         return args.func(args)

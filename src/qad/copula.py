@@ -42,6 +42,11 @@ __all__ = [
 #: Tolerance for mass-balance invariants (total mass 1, uniform margins).
 MASS_TOL = 1e-12
 
+#: The most float64 cells (4 MiB, the estimator's heap hint) in an (m, N) overlap
+#: matrix of a dense board's dgemm.  They grow as m·N (554 MB for a 200k-row pair
+#: with 40 % zeros); a larger board, and its swap's, takes ``_group_board``.
+DGEMM_MAX_CELLS = 1 << 19
+
 
 def _as_float_vector(values, name):
     arr = np.asarray(values, dtype=float)
@@ -334,28 +339,18 @@ def _overlap_weights(lo, hi, strip_width, resolution, masses=None):
 
     A rectangle no wider than a strip meets at most two strips, so its row
     holds the ``_two_strip_split`` weights w0 and 1 - w0, the same floats the
-    clip/diff formula gives, scattered into zeros.  Wider rectangles take the
-    dense formula once per tie group and share its row: rectangles with the
-    same lower bound must share the upper bound, as the tie groups of a margin
-    and the strips of a checkerboard do.
+    clip/diff formula gives, scattered into zeros.  Wider rectangles share the
+    row of their tie group from ``_tie_groups``.
     """
+    (i0, i1, w0), group, dense = _tie_groups(lo, hi, strip_width, resolution)
+    masses = np.ones(lo.size) if masses is None else masses  # x * 1.0 is x
     out = np.zeros((lo.size, resolution))
-    narrow = hi - lo <= strip_width
-    rows = np.flatnonzero(narrow)
-    i0, i1, w0 = _two_strip_split(lo[rows], hi[rows], strip_width)
-    w1 = 1.0 - w0
-    if masses is not None:
-        w0 = w0 * masses[rows]
-        w1 = w1 * masses[rows]
-    # i1 first: a rectangle inside one strip has i1 == i0, w0 = 1 and w1 = 0
-    out[rows, i1] = w1
-    out[rows, i0] = w0
-    wide = np.flatnonzero(~narrow)
-    if wide.size:
-        _, first, group = np.unique(lo[wide], return_index=True, return_inverse=True)
-        first = wide[first]
-        dense = _delta_overlap_matrix(lo[first], hi[first], strip_width, resolution)[group]
-        out[wide] = dense if masses is None else dense * masses[wide, None]
+    k, wide = np.arange(lo.size), np.flatnonzero(group >= 0)
+    # i1 first: a rectangle inside one strip has i1 == i0, w0 = 1 and w1 = 0;
+    # the rows of wide rectangles are then overwritten with their group's row
+    out[k, i1] = (1.0 - w0) * masses
+    out[k, i0] = w0 * masses
+    out[wide] = dense[group[wide]] * masses[wide, None]
     return out
 
 
@@ -417,11 +412,12 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
     Row c of the bound arrays is one measure of the rectangles' common
     ``masses``; a side shared by every row may be passed once as (1, m).  All
     coordinates are integers on a common scale where strip boundaries sit at
-    multiples of ``strip_width``; overlap fractions are then exact up to one
-    rounding each.  Rows whose rectangles are all no wider than a strip, so
+    multiples of ``strip_width`` and rectangle bounds at multiples of N;
+    overlap fractions are then exact up to one rounding each.  Rows whose rectangles are all no wider than a strip, so
     that each meets at most two strips per axis, share one bincount; a row
-    with a wider rectangle is the product of the two axes' overlap matrices
-    from ``_overlap_weights``, the first scaled by the masses.
+    with a wider rectangle is the dgemm of the two axes' ``_overlap_weights``,
+    the first scaled by the masses, or above ``DGEMM_MAX_CELLS`` the
+    ``_group_board`` of their ``_tie_groups``.
     """
     N = resolution
     widest = np.maximum(np.max(hi_u - lo_u, axis=-1), np.max(hi_v - lo_v, axis=-1))
@@ -443,9 +439,67 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
             N,
         )
     for c in np.flatnonzero(~fits):
-        gu = _overlap_weights(lo_u[c], hi_u[c], strip_width, N, masses)
-        boards[c] = gu.T @ _overlap_weights(lo_v[c], hi_v[c], strip_width, N)
+        if masses.size * N <= DGEMM_MAX_CELLS:
+            gu = _overlap_weights(lo_u[c], hi_u[c], strip_width, N, masses)
+            boards[c] = gu.T @ _overlap_weights(lo_v[c], hi_v[c], strip_width, N)
+        else:
+            u = _tie_groups(lo_u[c], hi_u[c], strip_width, N)
+            boards[c] = _group_board(u, _tie_groups(lo_v[c], hi_v[c], strip_width, N), masses, N)
     return boards
+
+
+def _tie_groups(lo, hi, strip_width, resolution):
+    """(split, group, rows): one axis of a rectangle measure for ``_group_board``.
+
+    ``split`` is the ``_two_strip_split`` of every rectangle, read only for
+    those no wider than a strip.  A wider one has a tie group, named by hi // N,
+    an integer up to ``strip_width`` (the group's max-rank), so a scatter into
+    an array indexed by it finds the groups without a sort.  ``group[k]`` is the
+    row of k's group in ``rows``, their (G, N) overlap fractions, or -1.
+    """
+    split = _two_strip_split(lo, hi, strip_width)
+    wide = np.flatnonzero(hi - lo > strip_width)
+    key = hi[wide] // resolution
+    width = np.zeros(strip_width + 1, dtype=lo.dtype)
+    width[key] = hi[wide] - lo[wide]
+    upper = np.flatnonzero(width)
+    group = np.full(lo.size, -1, dtype=np.intp)
+    group[wide] = np.searchsorted(upper, key)
+    top = upper * resolution
+    return split, group, _delta_overlap_matrix(top - width[upper], top, strip_width, resolution)
+
+
+def _group_board(u, v, masses, resolution):
+    """The (N, N) board of a rectangle measure from its axes' ``_tie_groups``.
+
+    Rectangle k adds masses[k]·outer(a_k, b_k), a_k and b_k its overlap rows.
+    Those narrow on both axes take the two-strip bincount.  A wide u group g
+    adds outer(u_rows[g], V[g]), V[g] = Σ_{k∈g} masses[k]·b_k, and a wide v
+    group h adds outer(U[h], v_rows[h]), U[h] summing over its u-narrow members:
+    one bincount over two strips per member gives every V and U, and members
+    wide on both axes add (G_u, G_v) summed masses times v_rows to V.  The
+    floats differ from the dgemm's.
+    """
+    N, (u_split, u_group, u_rows), (v_split, v_group, v_rows) = resolution, u, v
+    Gu, Gv = len(u_rows), len(v_rows)
+    u_wide, v_wide = u_group >= 0, v_group >= 0
+    a, b = np.flatnonzero(u_wide & ~v_wide), np.flatnonzero(v_wide & ~u_wide)
+    i0, i1, w0 = (np.concatenate([sv[a], su[b]]) for sv, su in zip(v_split, u_split))
+    key, w = np.concatenate([u_group[a], Gu + v_group[b]]) * N, masses[np.concatenate([a, b])]
+    sums = np.bincount(
+        np.concatenate([key + i0, key + i1]),
+        weights=np.concatenate([w * w0, w * (1.0 - w0)]),
+        minlength=(Gu + Gv) * N,
+    ).reshape(Gu + Gv, N)
+    k = np.flatnonzero(u_wide & v_wide)
+    cross = np.bincount(u_group[k] * Gv + v_group[k], weights=masses[k], minlength=Gu * Gv)
+    v_sums = sums[:Gu] + cross.reshape(Gu, Gv) @ v_rows
+    board = np.concatenate([u_rows, sums[Gu:]]).T @ np.concatenate([v_sums, v_rows])
+    # a bincount over no entries gives integer zeros, hence float + bincount
+    k = np.flatnonzero(~(u_wide | v_wide))
+    narrow = [[x[k][None] for x in split] for split in (u_split, v_split)]
+    board += _two_strip_boards(*narrow, masses[k], N)[0]
+    return board
 
 
 def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
@@ -475,15 +529,8 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
         raise ValueError("resolution must be >= 1")
     if isinstance(copula, EmpiricalCopula):
         ru, tu, rv, tv = copula.ranks_u, copula.ties_u, copula.ranks_v, copula.ties_v
-        mass = _aggregate_rects(
-            ((ru - tu) * N)[None],
-            (ru * N)[None],
-            ((rv - tv) * N)[None],
-            (rv * N)[None],
-            copula.counts / copula.n,
-            copula.n,
-            N,
-        )[0]
+        bounds = [(a * N)[None] for a in (ru - tu, ru, rv - tv, rv)]
+        mass = _aggregate_rects(*bounds, copula.counts / copula.n, copula.n, N)[0]
     elif isinstance(copula, CheckerboardCopula):
         M = copula.resolution
         idx = np.arange(M)
@@ -498,8 +545,8 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
 
 def _dense(pobs: PseudoObservations, resolution: int) -> bool:
     """Whether a fit at resolution N is dense: some tie rectangle, t/n wide, is
-    wider than a strip, 1/N, so its boards take the overlap product of
-    ``_overlap_weights`` instead of the two-strip splits."""
+    wider than a strip, 1/N, so its boards take the dgemm or the tie-group
+    product instead of the two-strip splits."""
     return max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
 
 
@@ -509,18 +556,11 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     One empirical copula serves both directions: exchanging its u and v fields
     gives exactly the empirical copula of the swapped sample (same distinct
     pairs, same first-appearance order, same counts), so board_yx is
-    bit-identical to fitting the swapped sample from scratch.  It is not
-    bitwise board_xy.T: the aggregation sums each cell's contributions in a
-    different order and multiplies the overlap weights the other way round.
-
-    The two margins' bounds are split once, as a (2, m) stack, and both boards
-    come from one ``_two_strip_boards`` call: board_yx takes the same splits
-    with the rows reversed.  The kernel adds each cell's contributions in the
-    same order as for a single board, so this equals aggregating each copula by
-    itself.  A dense fit takes the overlap product of ``_aggregate_rects``
-    instead, with the u margin's overlap matrix built once for both boards:
-    scaling it in place by the masses gives the same floats, in the same
-    layout, as ``_overlap_weights`` scaling them itself.
+    bit-identical to fitting the swapped sample from scratch, though not
+    bitwise board_xy.T.  Each margin is prepared once for both boards, with
+    the floats ``_aggregate_rects`` would give each alone: a (2, m) stack of
+    splits that board_yx takes reversed, or on a dense fit an overlap matrix
+    the dgemm scales in place by the masses, or ``_tie_groups``.
     """
     ecop = empirical_copula(pobs)
     N, n = resolution, ecop.n
@@ -530,10 +570,12 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     if not _dense(pobs, N):
         split = _two_strip_split(lo, hi, n)
         boards = _two_strip_boards(split, [a[::-1] for a in split], w, N)
+    elif ecop.m * N > DGEMM_MAX_CELLS:
+        u, v = (_tie_groups(lo[k], hi[k], n, N) for k in (0, 1))
+        boards = (_group_board(u, v, w, N), _group_board(v, u, w, N))
     else:
-        # no more than two (m, N) matrices alive at once: a third, for a
-        # scaled copy, raises peak memory and costs more to fault in than
-        # rebuilding the v matrix unscaled
+        # two (m, N) matrices alive at most: a scaled copy as a third raised peak
+        # memory and cost more to fault in than rebuilding the v matrix unscaled
         gu = _overlap_weights(lo[0], hi[0], n, N)
         board_yx = _overlap_weights(lo[1], hi[1], n, N, w).T @ gu
         gu *= w[:, None]
@@ -547,9 +589,9 @@ def _permuted_boards(pobs: PseudoObservations, resolution: int):
     ``_boards_from_ranks`` builds them.
 
     Each side is prepared once: the strip splits, or, on a dense fit, the
-    overlap matrices of the dense product (the x side scaled by the masses).
-    A permutation gathers the y side's rows, which does not change which of
-    the two paths applies.
+    dgemm's overlap matrices (the x side scaled by the masses) or the
+    ``_tie_groups``.  A permutation gathers the y side's rows, splits and group
+    ids, which changes neither the path nor the y side's tie groups.
     """
     N, n = resolution, pobs.n
     lo_u, hi_u = (pobs.ranks_u - pobs.ties_u) * N, pobs.ranks_u * N
@@ -559,6 +601,12 @@ def _permuted_boards(pobs: PseudoObservations, resolution: int):
         u_split = _two_strip_split(lo_u[None], hi_u[None], n)
         v_split = _two_strip_split(lo_v, hi_v, n)
         return lambda perms: _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
+    if n * N > DGEMM_MAX_CELLS:
+        u = _tie_groups(lo_u, hi_u, n, N)
+        split, group, rows = _tie_groups(lo_v, hi_v, n, N)
+        return lambda perms: np.stack(
+            [_group_board(u, ([a[p] for a in split], group[p], rows), masses, N) for p in perms]
+        )
     gu = _overlap_weights(lo_u, hi_u, n, N, masses).T
     gv = _overlap_weights(lo_v, hi_v, n, N)
     return lambda perms: np.stack([gu @ gv[perm] for perm in perms])

@@ -29,7 +29,6 @@ import numpy as np
 from .copula import (
     BivariateSample,
     _boards_from_ranks,
-    _dense,
     _fit_boards,
     _permuted_boards,
     _sample_is_its_copula,
@@ -66,22 +65,12 @@ CHUNK_ELEMENTS = 1 << 14
 #: zero.  At n = 100k the temporaries outgrow it and nothing changes.
 HEAP_HINT_BYTES = 1 << 22
 
-#: The heap hint of a dense fit, one with a tie rectangle wider than a strip.
-#: Its (n, N) overlap matrices, the dependence test's gathers of them and its
-#: dense replicates' matrices are 5.6 MB each at n = 9.4k, N = 75, so under
-#: the 4 MiB hint each is mapped afresh (8000-20000 minor faults per warm
-#: ``qad_compute`` with B = 9); this one brings that to zero.  It is not the
-#: hint of every input: the 32 MiB trim threshold it sets keeps freed pages
-#: resident, and raised the estimate and permtest benchmarks' peak RSS by
-#: 0.8-1.7 MB, where the 4 MiB hint left it flat.
-DENSE_HEAP_HINT_BYTES = 1 << 24
-
 #: Sample sizes below this draw a warning: the rule gives at most three strips.
 MIN_N_WARNING = 16
 
-#: The most float64 cells (512 MiB) one array of a fit at an overridden
-#: resolution may hold.  The rule's N <= sqrt(n) grows with the data and is
-#: not bounded: its boards stay below n cells.
+#: The most float64 cells (512 MiB) the board of a fit at an overridden resolution
+#: may hold; other arrays of a fit hold O(n) cells, or no more than the board or
+#: copula.DGEMM_MAX_CELLS.  The rule's N <= sqrt(n) keeps its boards below n cells.
 MAX_FIT_CELLS = 1 << 26
 
 
@@ -152,23 +141,20 @@ def _prepare(sample, resolution=None):
     """(pobs, N): the sample ranked once and the resolution, the rule's unless
     ``resolution`` overrides it; an override is checked against ``MAX_FIT_CELLS``.
 
-    The largest array of a dense fit is an (n, N) overlap matrix (or the
-    board, if N > n).  An untouched heap-hint block, the dense one on a dense
-    fit, is allocated and freed: with glibc this costs one mmap/munmap pair
-    the first time and no page fault; other allocators just free it.
+    An untouched ``HEAP_HINT_BYTES`` block is allocated and freed: with glibc
+    this costs one mmap/munmap pair the first time and no page fault; other
+    allocators just free it.
     """
     pobs = pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    dense = _dense(pobs, N)
-    cells = N * (max(N, n) if dense else N)
-    if resolution is not None and cells > MAX_FIT_CELLS:
+    if resolution is not None and N * N > MAX_FIT_CELLS:
         raise ValueError(
-            f"resolution {N} is too large for n = {n}: one array of the fit would "
-            f"hold {cells} cells, above the limit of {MAX_FIT_CELLS}"
+            f"resolution {N} is too large for n = {n}: the board would "
+            f"hold {N * N} cells, above the limit of {MAX_FIT_CELLS}"
         )
-    np.empty(DENSE_HEAP_HINT_BYTES if dense else HEAP_HINT_BYTES, dtype=np.uint8)
+    np.empty(HEAP_HINT_BYTES, dtype=np.uint8)
     return pobs, N
 
 

@@ -268,6 +268,13 @@ class TestComputeCommand:
                      "--delimiter must be one character", id="pairwise-delimiter-long"),
         pytest.param(["simulate", "shape", "linear", "-n", "10,20"],
                      "simulate shape draws one sample", id="simulate-shape-sizes"),
+        pytest.param(["simulate", "fgm", "--theta", "5", "-n", "10", "--out", "{out}"],
+                     "FGM parameter must lie in [-1, 1]", id="simulate-fgm-theta"),
+        pytest.param(["simulate", "cd", "--slope", "0", "-n", "10", "--out", "{out}"],
+                     "slope must be a positive integer", id="simulate-cd-slope"),
+        pytest.param(["simulate", "mo", "--alpha", "2", "--beta", "0.5", "-n", "10",
+                      "--out", "{out}"],
+                     "Marshall-Olkin parameters must lie in [0, 1]", id="simulate-mo-alpha"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
