@@ -42,10 +42,14 @@ __all__ = [
 #: Tolerance for mass-balance invariants (total mass 1, uniform margins).
 MASS_TOL = 1e-12
 
-#: The most float64 cells (4 MiB, the estimator's heap hint) in an (m, N) overlap
-#: matrix of a dense board's dgemm.  They grow as m·N (554 MB for a 200k-row pair
-#: with 40 % zeros); a larger board, and its swap's, takes ``_group_board``.
-DGEMM_MAX_CELLS = 1 << 19
+#: The most cells in an (m, N) overlap matrix of a dense board's dgemm; a larger
+#: board, and its swap's, takes ``_group_board``.  Set by speed: on 40 %-zero
+#: pairs at B = 199 (BLAS on one thread) the dgemm led at 14k cells, the two tied
+#: at 23k, and the group product led from 39k on (1.4x; 1.7x at 68k, 2.4x at
+#: 138k).  70 000 is the lowest bound that keeps the pinned replicate statistics
+#: and the dense-path tests (n = 2000, N = 34: 68 000 cells) on the dgemm, whose
+#: sums the group product matches only to rounding.
+DGEMM_MAX_CELLS = 70_000
 
 
 def _as_float_vector(values, name):

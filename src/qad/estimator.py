@@ -11,8 +11,8 @@ symmetry of the dependence.  The permutation tests reuse the same ranks.
 Randomness is drawn from numpy's seeded PCG64 generator.  Replicate b of
 test stream t uses ``SeedSequence(entropy=seed, spawn_key=(t, b))`` (t = 0 for
 the dependence test, t = 1 for the asymmetry test), which makes results
-reproducible and independent of evaluation order or thread count.  Replicates
-are evaluated in chunks: one bincount builds the boards of a chunk and zeta1
+reproducible and independent of evaluation order.  Replicates are evaluated
+serially in chunks: one bincount builds the boards of a chunk and zeta1
 runs on the stack, with the same arithmetic per board as a single estimate.
 Both skip only work whose result is known exactly (bincount entries of weight
 +0.0, the root formula on cells without a sign change), so no float changes.
@@ -21,7 +21,6 @@ Both skip only work whose result is known exactly (bincount entries of weight
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -79,7 +78,8 @@ class QadOptions:
     """Estimation settings.
 
     permutations = 0 skips the significance tests.  ``resolution_override``
-    replaces the default resolution rule (research use only).
+    replaces the default resolution rule (research use only).  ``threads`` is
+    checked but starts no thread: everything runs serially.
     """
 
     permutations: int = 0
@@ -94,8 +94,14 @@ class QadOptions:
             raise ValueError("seed must be >= 0")
         if self.resolution_override is not None and self.resolution_override < 1:
             raise ValueError("resolution override must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        _check_threads(self.threads)
+
+
+def _check_threads(threads: int) -> None:
+    """Raise ValueError for a thread count below 1.  A public ``threads`` is
+    only checked: replicates, pairs and experiments run serially."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,16 +184,6 @@ def _replicate_chunks(B: int, n: int, resolution: int):
     return [range(start, min(start + size, B)) for start in range(0, B, size)]
 
 
-def _map_tasks(fn, tasks, threads: int) -> list:
-    """``[fn(task) for task in tasks]``, over a pool of up to ``threads`` threads
-    when there are two or more of each; tasks seed themselves, so the schedule
-    cannot change the list."""
-    if threads > 1 and len(tasks) > 1:
-        with futures.ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 def _p_value(exceedances, B: int) -> float:
     return (1 + int(exceedances)) / (B + 1)
 
@@ -207,7 +203,7 @@ def _observed_pairs(pobs, resolution):
     return _q_pairs(_boards_from_ranks(*(a[None] for a in ranks), pobs.n, resolution))[0]
 
 
-def _dependence_null(pobs, N, permutations, seed, threads):
+def _dependence_null(pobs, N, permutations, seed):
     """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
     Replicate b pairs the x side with the y side permuted by its own stream;
@@ -222,7 +218,7 @@ def _dependence_null(pobs, N, permutations, seed, threads):
         )
         return _q_pairs(boards(perms))
 
-    return np.concatenate(_map_tasks(chunk_q, _replicate_chunks(permutations, n, N), threads))
+    return np.concatenate([chunk_q(c) for c in _replicate_chunks(permutations, n, N)])
 
 
 def _stack_max_ranks(values: np.ndarray, n: int):
@@ -234,7 +230,7 @@ def _stack_max_ranks(values: np.ndarray, n: int):
     return ends.ravel()[keys], counts.ravel()[keys]
 
 
-def _asymmetry_null(pobs, N, permutations, seed, threads):
+def _asymmetry_null(pobs, N, permutations, seed):
     """(B, 2) replicate (q_xy, q_yx) pairs of the asymmetry test.
 
     Replicate b swaps the integer max-ranks of a random subset of pairs and
@@ -253,7 +249,7 @@ def _asymmetry_null(pobs, N, permutations, seed, threads):
         rvb, tvb = _stack_max_ranks((ru + rv) - su, n)
         return _q_pairs(_boards_from_ranks(rub, tub, rvb, tvb, n, N))
 
-    return np.concatenate(_map_tasks(chunk_q, _replicate_chunks(permutations, n, N), threads))
+    return np.concatenate([chunk_q(c) for c in _replicate_chunks(permutations, n, N)])
 
 
 def _dependence_p(observed, null):
@@ -281,8 +277,9 @@ def permutation_test_dependence(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
+    _check_threads(threads)
     pobs, N = _prepare(sample, resolution)
-    null = _dependence_null(pobs, N, permutations, seed, threads)
+    null = _dependence_null(pobs, N, permutations, seed)
     return _dependence_p(_observed_pairs(pobs, N), null)
 
 
@@ -303,8 +300,9 @@ def permutation_test_asymmetry(
     """
     if permutations < 1:
         raise ValueError("permutations must be >= 1")
+    _check_threads(threads)
     pobs, N = _prepare(sample, resolution)
-    null = _asymmetry_null(pobs, N, permutations, seed, threads)
+    null = _asymmetry_null(pobs, N, permutations, seed)
     return _asymmetry_p(_observed_pairs(pobs, N), null)
 
 
@@ -347,7 +345,7 @@ def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
             observed = _q_pairs(board_xy.mass[None])[0]
         else:
             observed = _observed_pairs(pobs, resolution)
-        null_args = (pobs, resolution, opts.permutations, opts.seed, opts.threads)
+        null_args = (pobs, resolution, opts.permutations, opts.seed)
         p_q_xy, p_q_yx = _dependence_p(observed, _dependence_null(*null_args))
         p_asym = _asymmetry_p(observed, _asymmetry_null(*null_args))
 

@@ -17,6 +17,7 @@ without scipy unless ``--influence-test signrank`` asks for it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .copula import BivariateSample, _max_ranks
 from .errors import DataError
-from .estimator import QadOptions, _map_tasks, qad_compute
+from .estimator import QadOptions, _check_threads, qad_compute
 
 __all__ = [
     "DataTable",
@@ -166,10 +167,11 @@ def pairwise_qad(
     Rows with a missing value in either column of a pair are excluded for
     that pair only.  Pairs with fewer than 2 complete rows, or with an
     infinite value in a complete row, yield NaN cells and a warning naming
-    the pair and the reason rather than an error.  ``threads`` runs pairs in
-    parallel, and each pair's estimate replaces ``opts.threads`` by 1: pairs,
-    not replicates, run in parallel.
+    the pair and the reason rather than an error.  Pairs run one after
+    another; ``threads``, like ``opts.threads``, is checked but starts no
+    thread.
     """
+    _check_threads(threads)
     k = table.n_columns
     if k < 2:
         raise DataError("need at least 2 columns")
@@ -181,35 +183,25 @@ def pairwise_qad(
     n_used = np.full(shape, np.nan)
     warnings = []
 
-    pairs = [(f, j) for f in range(k) for j in range(f + 1, k)]
-
-    def one(pair):
-        # -> (f, j, QadResult or the reason the pair is skipped, complete rows)
+    for f, j in itertools.combinations(range(k), 2):
         # canonical orientation and row order: results must not depend on
         # the table's column or row arrangement, including p-values
-        f, j = pair
         if table.names[j] < table.names[f]:
             f, j = j, f
         cols = table.values[:, (f, j)]
         complete = ~np.isnan(cols).any(axis=1)
         xs, ys = cols[complete, 0], cols[complete, 1]
+        n_used[f, j] = n_used[j, f] = xs.size
+        skip = None
         if xs.size < 2:
-            return f, j, "fewer than 2 complete rows", int(xs.size)
-        if np.isinf(cols[complete]).any():
-            return f, j, "non-finite values", int(xs.size)
-        sample = _canonical_pair(xs, ys)
-        pair_opts = replace(
-            opts,
-            seed=_pair_seed(opts.seed, table.names[f], table.names[j]),
-            threads=1,
-        )
-        return f, j, qad_compute(sample, pair_opts), int(xs.size)
-
-    for f, j, result, n_pair in _map_tasks(one, pairs, threads):
-        n_used[f, j] = n_used[j, f] = n_pair
-        if isinstance(result, str):
-            warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {result}")
+            skip = "fewer than 2 complete rows"
+        elif np.isinf(cols[complete]).any():
+            skip = "non-finite values"
+        if skip:
+            warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {skip}")
             continue
+        pair_seed = _pair_seed(opts.seed, table.names[f], table.names[j])
+        result = qad_compute(_canonical_pair(xs, ys), replace(opts, seed=pair_seed))
         q[f, j] = result.q_xy
         q[j, f] = result.q_yx
         asym[f, j] = result.asymmetry

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .copula import BivariateSample, CheckerboardCopula
-from .estimator import QadOptions, _map_tasks, qad_compute
+from .estimator import QadOptions, _check_threads, qad_compute
 
 __all__ = [
     "MarshallOlkin",
@@ -356,10 +356,12 @@ def convergence_experiment(
 
     Replicate r at size index s draws its sample from
     ``SeedSequence(entropy=seed, spawn_key=(s, r))``, so rows are reproducible
-    and independent of evaluation order.
+    and independent of evaluation order.  Tasks run serially; ``threads`` is
+    checked but starts no thread.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    _check_threads(threads)
     ref_xy, ref_yx = zeta1_closed_form(model)
     tasks = [
         (si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates)
@@ -381,4 +383,4 @@ def convergence_experiment(
             ref_yx=ref_yx,
         )
 
-    return ExperimentResult(tuple(_map_tasks(one, tasks, threads)))
+    return ExperimentResult(tuple(one(task) for task in tasks))

@@ -25,7 +25,7 @@ from qad.copula import (
     checkerboard_aggregate,
     pseudo_observations,
 )
-from qad.estimator import _dependence_null, _prepare
+from qad.estimator import _asymmetry_null, _dependence_null, _observed_pairs, _prepare
 
 GROUP, DGEMM = 0, 1 << 62
 
@@ -164,11 +164,34 @@ class TestAboveThreshold:
         assert swapped.asymmetry == -direct.asymmetry
 
     def test_replicates_do_not_depend_on_threads(self):
-        pobs, N = _prepare(self.sample)
-        serial = _dependence_null(pobs, N, 6, 5, 1)
-        assert np.array_equal(serial, _dependence_null(pobs, N, 6, 5, 2))
         opts = [QadOptions(permutations=6, seed=5, threads=t) for t in (1, 2)]
         assert qad_compute(self.sample, opts[0]) == qad_compute(self.sample, opts[1])
+
+
+def test_boards_above_the_crossover_take_the_group_product(monkeypatch):
+    # n = 3000, N = 42: 126 000 cells per overlap matrix, above the crossover
+    # where the serial group product overtakes the dgemm; every board of the
+    # fit, the observed statistic and both tests' replicates takes it
+    sample = _zero_inflated(3000)
+    pobs, N = _prepare(sample)
+    assert N == 42 and _dense(pobs, N) and sample.n * N > copula.DGEMM_MAX_CELLS
+    calls = []
+    original = copula._group_board
+    monkeypatch.setattr(copula, "_group_board", lambda *a: calls.append(1) or original(*a))
+
+    def group_boards(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert group_boards(_fit_boards, pobs, N) == 2
+    assert group_boards(_observed_pairs, pobs, N) == 1
+    assert group_boards(_dependence_null, pobs, N, 3, 1) == 3
+    assert group_boards(_asymmetry_null, pobs, N, 3, 1) == 3
+    direct, swapped = qad_compute(sample), qad_compute(sample.swapped())
+    assert swapped.q_xy == direct.q_yx
+    assert swapped.q_yx == direct.q_xy
+    assert swapped.asymmetry == -direct.asymmetry
 
 
 @pytest.mark.parametrize("margin", [0, 1])

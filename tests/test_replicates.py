@@ -38,16 +38,16 @@ from qad.estimator import (
 )
 
 
-def _dependence_replicates(sample, B, seed, resolution, threads):
+def _dependence_replicates(sample, B, seed, resolution):
     """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the dependence test."""
     pobs, N = _prepare(sample, resolution)
-    return _observed_pairs(pobs, N), _dependence_null(pobs, N, B, seed, threads)
+    return _observed_pairs(pobs, N), _dependence_null(pobs, N, B, seed)
 
 
-def _asymmetry_replicates(sample, B, seed, resolution, threads):
+def _asymmetry_replicates(sample, B, seed, resolution):
     """Observed (q_xy, q_yx) and the (B, 2) replicate pairs of the asymmetry test."""
     pobs, N = _prepare(sample, resolution)
-    return _observed_pairs(pobs, N), _asymmetry_null(pobs, N, B, seed, threads)
+    return _observed_pairs(pobs, N), _asymmetry_null(pobs, N, B, seed)
 
 
 def _board_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
@@ -166,7 +166,7 @@ def test_dependence_pinned(name):
     make, B, seed = CASES[name]
     p, null_sha, _, _ = PINNED[name]
     sample = make()
-    _, null = _dependence_replicates(sample, B, seed, None, 1)
+    _, null = _dependence_replicates(sample, B, seed, None)
     assert _sha(null) == null_sha
     assert permutation_test_dependence(sample, B, seed) == p
 
@@ -176,20 +176,9 @@ def test_asymmetry_pinned(name):
     make, B, seed = CASES[name]
     _, _, p, null_sha = PINNED[name]
     sample = make()
-    _, null = _asymmetry_replicates(sample, B, seed, None, 1)
+    _, null = _asymmetry_replicates(sample, B, seed, None)
     assert _sha(null) == null_sha
     assert permutation_test_asymmetry(sample, B, seed) == p
-
-
-@pytest.mark.parametrize("name", ["rounded_ties", "zero_inflated_dense", "independent_n500"])
-def test_threads_do_not_change_replicates(name):
-    make, B, seed = CASES[name]
-    sample = make()
-    assert len(_replicate_chunks(B, sample.n, _resolution(sample))) > 1
-    for replicates in (_dependence_replicates, _asymmetry_replicates):
-        _, one = replicates(sample, B, seed, None, 1)
-        _, four = replicates(sample, B, seed, None, 4)
-        assert np.array_equal(one, four)
 
 
 def test_chunks_cover_every_replicate_once():
