@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -22,6 +23,7 @@ from .copula import BivariateSample
 from .errors import DataError, DegenerateInputError
 from .estimator import QadOptions, _compute_with_boards
 from .pairwise import (
+    _graph,
     baseline_correlations,
     build_network,
     filter_columns,
@@ -37,9 +39,9 @@ from .simulate import (
     Independence,
     MarshallOlkin,
     ShapeGenerator,
+    _replicate_sample,
     convergence_experiment,
     generate_shape,
-    sample_model,
 )
 from .tables import DEFAULT_MISSING, _check_delimiter, ingest_csv
 
@@ -62,10 +64,19 @@ def _fmt(value, precision: int) -> str:
     return str(value)
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing ``path`` into a DataError."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit_lines(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -151,6 +162,8 @@ def _pairwise_result(args):
     pw = pairwise_qad(table, opts, threads=args.threads)
     for w in pw.warnings:
         _log(f"warning: {w}")
+    with _writing(args.out):  # both commands write into the --out directory
+        os.makedirs(args.out, exist_ok=True)
     return table, pw, filter_report
 
 
@@ -161,7 +174,6 @@ def _matrix_json(matrix):
 def _cmd_pairwise(args) -> int:
     table, pw, filter_report = _pairwise_result(args)
     corr = baseline_correlations(table)
-    os.makedirs(args.out, exist_ok=True)
 
     rows = [
         (
@@ -239,7 +251,6 @@ def _cmd_network(args) -> int:
     _, pw, _ = _pairwise_result(args)
     net = build_network(pw, q_threshold=args.q_threshold, alpha=args.alpha)
     infl = influence_summary(pw, method=args.influence_test)
-    os.makedirs(args.out, exist_ok=True)
     prec = args.precision
 
     _emit_csv("source,target,weight", net.edges, os.path.join(args.out, "edges.csv"), prec)
@@ -262,38 +273,35 @@ def _cmd_network(args) -> int:
 
     import networkx as nx
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.nodes)
-    for src, dst, w in net.edges:
-        graph.add_edge(src, dst, weight=w)
-    nx.write_graphml(graph, os.path.join(args.out, "network.graphml"))
+    path = os.path.join(args.out, "network.graphml")
+    with _writing(path):
+        nx.write_graphml(_graph(net.nodes, net.edges), path)
     _log(f"wrote network outputs to {args.out}")
     return EXIT_OK
 
 
 def _parse_model(args):
+    """The simulate command's copula model or shape generator."""
     if args.model == "mo":
         return MarshallOlkin(args.mo_alpha, args.beta)
     if args.model == "fgm":
         return FGM(args.theta)
     if args.model == "cd":
         return CompletelyDependent(args.slope)
+    if args.model == "shape":
+        return ShapeGenerator(shape=args.name, n=args.n[0], noise=args.noise)
     return Independence()
 
 
 def _cmd_simulate(args) -> int:
     prec = args.precision
     if args.model == "shape":
-        gen = ShapeGenerator(shape=args.name, n=args.n[0], noise=args.noise)
-        sample = generate_shape(gen, args.seed)
+        sample = generate_shape(args.spec, args.seed)
     elif args.reps == 1 and len(args.n) == 1:
         # single replicate: emit the raw sample so it can feed `compute`
-        seeds = np.random.SeedSequence(entropy=args.seed, spawn_key=(0, 0))
-        sample = sample_model(args.copula, args.n[0], seeds)
+        sample = _replicate_sample(args.spec, args.n[0], args.seed, 0, 0)
     else:
-        result = convergence_experiment(
-            args.copula, args.n, args.reps, args.seed, threads=args.threads
-        )
+        result = convergence_experiment(args.spec, args.n, args.reps, args.seed, args.threads)
         header = ",".join(f.name for f in fields(ExperimentRow))
         _emit_csv(header, map(astuple, result.rows), args.out, prec)
         return EXIT_OK
@@ -454,8 +462,8 @@ def main(argv=None) -> int:
             _log(f"error: --{flag.replace('_', '-')} must be {valid}")
             return EXIT_USAGE
     if getattr(args, "command", None) == "simulate":
-        try:  # the model classes check their own parameter ranges
-            args.copula = _parse_model(args)
+        try:  # the model and shape classes check their own parameter ranges
+            args.spec = _parse_model(args)
         except ValueError as exc:
             _log(f"error: {exc}")
             return EXIT_USAGE

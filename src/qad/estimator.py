@@ -92,16 +92,16 @@ class QadOptions:
             raise ValueError("permutations must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.resolution_override is not None and self.resolution_override < 1:
-            raise ValueError("resolution override must be >= 1")
-        _check_threads(self.threads)
+        _check_count("resolution override", self.resolution_override)
+        _check_count("threads", self.threads)
 
 
-def _check_threads(threads: int) -> None:
-    """Raise ValueError for a thread count below 1.  A public ``threads`` is
-    only checked: replicates, pairs and experiments run serially."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+def _check_count(name: str, value) -> None:
+    """Raise ValueError for a count below 1; None (no override) passes.  A
+    public ``threads`` is only checked: replicates, pairs and experiments run
+    serially."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,19 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
 
     For tie-free data this is floor(sqrt(n)).  Constant margins give N = 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n)
     return max(1, math.isqrt(min(n_unique_x, n_unique_y)))
 
 
 def _prepare(sample, resolution=None):
     """(pobs, N): the sample ranked once and the resolution, the rule's unless
-    ``resolution`` overrides it; an override is checked against ``MAX_FIT_CELLS``.
+    ``resolution`` overrides it; an override must be >= 1 and within ``MAX_FIT_CELLS``.
 
     An untouched ``HEAP_HINT_BYTES`` block is allocated and freed: with glibc
     this costs one mmap/munmap pair the first time and no page fault; other
     allocators just free it.
     """
+    _check_count("resolution override", resolution)
     pobs = pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
@@ -262,6 +262,14 @@ def _asymmetry_p(observed, null) -> float:
     return _p_value((np.abs(null[:, 0] - null[:, 1]) >= a_obs).sum(), len(null))
 
 
+def _permutation_test(null, p_value, sample, permutations, seed, resolution, threads):
+    """``p_value(observed pairs, null(pobs, N, permutations, seed))`` of one test."""
+    _check_count("permutations", permutations)
+    _check_count("threads", threads)
+    pobs, N = _prepare(sample, resolution)
+    return p_value(_observed_pairs(pobs, N), null(pobs, N, permutations, seed))
+
+
 def permutation_test_dependence(
     sample: BivariateSample,
     permutations: int,
@@ -275,12 +283,9 @@ def permutation_test_dependence(
     pairing while preserving both margins) and recomputes the estimates at the
     same resolution; p = (1 + #{q_b >= q_observed}) / (B + 1) per direction.
     """
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
-    _check_threads(threads)
-    pobs, N = _prepare(sample, resolution)
-    null = _dependence_null(pobs, N, permutations, seed)
-    return _dependence_p(_observed_pairs(pobs, N), null)
+    return _permutation_test(
+        _dependence_null, _dependence_p, sample, permutations, seed, resolution, threads
+    )
 
 
 def permutation_test_asymmetry(
@@ -298,12 +303,9 @@ def permutation_test_asymmetry(
     the rank pair this randomization is the natural null for symmetry.
     p = (1 + #{|a_b| >= |a_observed|}) / (B + 1).
     """
-    if permutations < 1:
-        raise ValueError("permutations must be >= 1")
-    _check_threads(threads)
-    pobs, N = _prepare(sample, resolution)
-    null = _asymmetry_null(pobs, N, permutations, seed)
-    return _asymmetry_p(_observed_pairs(pobs, N), null)
+    return _permutation_test(
+        _asymmetry_null, _asymmetry_p, sample, permutations, seed, resolution, threads
+    )
 
 
 def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:

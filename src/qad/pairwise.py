@@ -25,7 +25,7 @@ import numpy as np
 
 from .copula import BivariateSample, _max_ranks
 from .errors import DataError
-from .estimator import QadOptions, _check_threads, qad_compute
+from .estimator import QadOptions, _check_count, qad_compute
 
 __all__ = [
     "DataTable",
@@ -171,7 +171,7 @@ def pairwise_qad(
     another; ``threads``, like ``opts.threads``, is checked but starts no
     thread.
     """
-    _check_threads(threads)
+    _check_count("threads", threads)
     k = table.n_columns
     if k < 2:
         raise DataError("need at least 2 columns")
@@ -335,6 +335,16 @@ def _hub_scores(weights: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     return x / x.max()
 
 
+def _graph(nodes, edges):
+    """A DiGraph over ``nodes`` whose (source, target, weight) ``edges`` carry only weight."""
+    import networkx as nx
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_weighted_edges_from(edges)
+    return graph
+
+
 def build_network(
     pw: PairwiseResult, q_threshold: float = 0.325, alpha: float = 0.05
 ) -> DependencyNetwork:
@@ -348,32 +358,20 @@ def build_network(
         raise DataError("network construction needs p-values; run with permutations")
     import networkx as nx
 
-    k = pw.k
     names = pw.variables
-    weights = np.zeros((k, k))
-    edges = []
-    for f in range(k):
-        for j in range(k):
-            if f == j:
-                continue
-            qv, pv = pw.q[f, j], pw.p_q[f, j]
-            if not np.isnan(qv) and not np.isnan(pv) and qv >= q_threshold and pv < alpha:
-                weights[f, j] = qv
-                edges.append((names[f], names[j], float(qv)))
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(names)
-    for src, dst, w in edges:
-        graph.add_edge(src, dst, weight=w, length=1.0 / w)
-    betweenness = nx.betweenness_centrality(graph, normalized=False, weight="length")
-    degree = {name: graph.in_degree(name) + graph.out_degree(name) for name in names}
-    hub = _hub_scores(weights)
+    # NaN compares false, so cells without an estimate drop out; row-major order
+    keep = (pw.q >= q_threshold) & (pw.p_q < alpha) & ~np.eye(pw.k, dtype=bool)
+    edges = tuple((names[f], names[j], float(pw.q[f, j])) for f, j in zip(*np.nonzero(keep)))
+    graph = _graph(names, edges)
+    betweenness = nx.betweenness_centrality(
+        graph, normalized=False, weight=lambda u, v, d: 1.0 / d["weight"]
+    )
     return DependencyNetwork(
         nodes=names,
-        edges=tuple(edges),
-        degree=degree,
+        edges=edges,
+        degree={name: graph.degree(name) for name in names},
         betweenness={n: float(betweenness[n]) for n in names},
-        hub_score={n: float(h) for n, h in zip(names, hub)},
+        hub_score={n: float(h) for n, h in zip(names, _hub_scores(np.where(keep, pw.q, 0.0)))},
         q_threshold=q_threshold,
         alpha=alpha,
     )

@@ -8,7 +8,7 @@ observed value and prediction is only possible inside the observed range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,13 +63,9 @@ class PredictionTable:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "resolution": self.resolution,
-            "cond": [[float(x) for x in row] for row in self.cond],
-            "x_breaks": [float(x) for x in self.x_breaks],
-            "y_breaks": [float(x) for x in self.y_breaks],
-        }
+        """The fields in declaration order, arrays as (nested) lists of floats."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
     def to_csv_lines(self, precision: int = 6):
         """Rows = conditioning intervals (endpoint columns first), then the

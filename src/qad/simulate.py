@@ -10,13 +10,14 @@ for the transpose), and independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import math
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
 from .copula import BivariateSample, CheckerboardCopula
-from .estimator import QadOptions, _check_threads, qad_compute
+from .estimator import QadOptions, _check_count, qad_compute
 
 __all__ = [
     "MarshallOlkin",
@@ -36,106 +37,123 @@ __all__ = [
 ]
 
 
+class CopulaModel:
+    """Base of the validation copula families.
+
+    Each family is a frozen dataclass of its range-checked parameters with a
+    ``label``, a sampler ``_sample(rng, n)``, its closed-form zeta1 pair
+    ``_zeta1_pair()`` and, where one exists, its CDF ``_cdf(u, v)``.
+    """
+
+    def params(self) -> str:
+        """The parameters as ``name=value`` joined by ';', floats in ``g`` format."""
+        return ";".join(
+            f"{f.name}={getattr(self, f.name):{'g' if f.type == 'float' else ''}}"
+            for f in fields(self)
+        )
+
+    def _cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        raise TypeError("no analytic CDF for this model")
+
+
 @dataclass(frozen=True)
-class MarshallOlkin:
+class MarshallOlkin(CopulaModel):
     alpha: float
     beta: float
+    label = "mo"
 
     def __post_init__(self):
         if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
             raise ValueError("Marshall-Olkin parameters must lie in [0, 1]")
 
-    label = "mo"
+    def _sample(self, rng, n):
+        """X = max(U1^(1/(1-alpha)), U3^(1/alpha)), Y = max(U2^(1/(1-beta)),
+        U3^(1/beta)), with the alpha, beta in {0, 1} limits taken analytically."""
+        u1, u2, u3 = rng.random((3, n))
 
-    def params(self) -> str:
-        return f"alpha={self.alpha:g};beta={self.beta:g}"
+        def margin(u, c):
+            return u if c == 0 else u3 if c == 1 else np.maximum(u ** (1 / (1 - c)), u3 ** (1 / c))
+
+        return BivariateSample(margin(u1, self.alpha), margin(u2, self.beta))
+
+    def _zeta1_pair(self):
+        """The transpose swaps (alpha, beta)."""
+        return _mo_zeta1(self.alpha, self.beta), _mo_zeta1(self.beta, self.alpha)
+
+    def _cdf(self, u, v):
+        return np.minimum(u ** (1.0 - self.alpha) * v, u * v ** (1.0 - self.beta))
 
 
 @dataclass(frozen=True)
-class FGM:
+class FGM(CopulaModel):
     theta: float
+    label = "fgm"
 
     def __post_init__(self):
         if not -1 <= self.theta <= 1:
             raise ValueError("FGM parameter must lie in [-1, 1]")
 
-    label = "fgm"
-
-    def params(self) -> str:
-        return f"theta={self.theta:g}"
-
-
-@dataclass(frozen=True)
-class CompletelyDependent:
-    slope: int
-
-    def __post_init__(self):
-        if int(self.slope) != self.slope or self.slope < 1:
-            raise ValueError("slope must be a positive integer")
-
-    label = "cd"
-
-    def params(self) -> str:
-        return f"slope={self.slope}"
-
-
-@dataclass(frozen=True)
-class Independence:
-    label = "independence"
-
-    def params(self) -> str:
-        return ""
-
-
-CopulaModel = Union[MarshallOlkin, FGM, CompletelyDependent, Independence]
-
-
-def sample_model(model: CopulaModel, n: int, seed) -> BivariateSample:
-    """Draw n i.i.d. pairs from the model's copula.
-
-    Marshall-Olkin uses the max-power construction
-    X = max(U1^(1/(1-alpha)), U3^(1/alpha)), Y = max(U2^(1/(1-beta)), U3^(1/beta)),
-    with the alpha,beta in {0,1} limits taken analytically.  FGM inverts the
-    conditional CDF in closed form (quadratic in v).  ``seed`` may be an int,
-    SeedSequence, or Generator.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, Independence):
-        u = rng.random(n)
-        v = rng.random(n)
-        return BivariateSample(u, v)
-    if isinstance(model, CompletelyDependent):
-        x = rng.random(n)
-        return BivariateSample(x, (model.slope * x) % 1.0)
-    if isinstance(model, MarshallOlkin):
-        a, b = model.alpha, model.beta
-        u1, u2, u3 = rng.random((3, n))
-        if a == 0:
-            x = u1
-        elif a == 1:
-            x = u3
-        else:
-            x = np.maximum(u1 ** (1.0 / (1.0 - a)), u3 ** (1.0 / a))
-        if b == 0:
-            y = u2
-        elif b == 1:
-            y = u3
-        else:
-            y = np.maximum(u2 ** (1.0 / (1.0 - b)), u3 ** (1.0 / b))
-        return BivariateSample(x, y)
-    if isinstance(model, FGM):
+    def _sample(self, rng, n):
+        """Inverts the conditional CDF in closed form (quadratic in v)."""
         u = rng.random(n)
         p = rng.random(n)
-        coeff = model.theta * (1.0 - 2.0 * u)
+        coeff = self.theta * (1.0 - 2.0 * u)
         disc = np.sqrt((1.0 + coeff) ** 2 - 4.0 * coeff * p)
         denom = (1.0 + coeff) + disc
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(denom > 0, 2.0 * p / np.where(denom > 0, denom, 1.0), 0.0)
         v = np.where(coeff == 0, p, v)
         return BivariateSample(u, v)
-    raise TypeError(f"unknown model {model!r}")
+
+    def _zeta1_pair(self):
+        """Symmetric: zeta1 = |theta| / 4 both ways."""
+        return abs(self.theta) / 4.0, abs(self.theta) / 4.0
+
+    def _cdf(self, u, v):
+        return u * v + self.theta * u * v * (1.0 - u) * (1.0 - v)
+
+
+@dataclass(frozen=True)
+class CompletelyDependent(CopulaModel):
+    slope: int
+    label = "cd"
+
+    def __post_init__(self):
+        if int(self.slope) != self.slope or self.slope < 1:
+            raise ValueError("slope must be a positive integer")
+
+    def _sample(self, rng, n):
+        x = rng.random(n)
+        return BivariateSample(x, (self.slope * x) % 1.0)
+
+    def _zeta1_pair(self):
+        """zeta1 = 1 forward; the transpose has no closed form."""
+        return 1.0, None
+
+
+@dataclass(frozen=True)
+class Independence(CopulaModel):
+    label = "independence"
+
+    def _sample(self, rng, n):
+        return BivariateSample(rng.random(n), rng.random(n))
+
+    def _zeta1_pair(self):
+        return 0.0, 0.0
+
+    def _cdf(self, u, v):
+        return u * v
+
+
+def sample_model(model: CopulaModel, n: int, seed) -> BivariateSample:
+    """Draw n i.i.d. pairs from the model's copula; ``seed``: int, SeedSequence or Generator."""
+    _check_count("n", n)
+    return model._sample(np.random.default_rng(seed), n)
+
+
+def _replicate_sample(model: CopulaModel, n: int, seed: int, size_index: int, rep: int):
+    """Replicate ``rep`` at size index ``size_index`` of a convergence experiment."""
+    return sample_model(model, n, np.random.SeedSequence(seed, spawn_key=(size_index, rep)))
 
 
 def _mo_zeta1(alpha: float, beta: float) -> float:
@@ -152,33 +170,8 @@ def _mo_zeta1(alpha: float, beta: float) -> float:
 
 
 def zeta1_closed_form(model: CopulaModel):
-    """(zeta1 of the model, zeta1 of its transpose), None where no closed form.
-
-    The Marshall-Olkin transpose swaps (alpha, beta); FGM is symmetric;
-    the completely dependent family has zeta1 = 1 forward but no closed form
-    for the transpose, reported as None.
-    """
-    if isinstance(model, Independence):
-        return 0.0, 0.0
-    if isinstance(model, FGM):
-        val = abs(model.theta) / 4.0
-        return val, val
-    if isinstance(model, CompletelyDependent):
-        return 1.0, None
-    if isinstance(model, MarshallOlkin):
-        return _mo_zeta1(model.alpha, model.beta), _mo_zeta1(model.beta, model.alpha)
-    raise TypeError(f"unknown model {model!r}")
-
-
-def _model_cdf(model: CopulaModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if isinstance(model, MarshallOlkin):
-        a, b = model.alpha, model.beta
-        return np.minimum(u ** (1.0 - a) * v, u * v ** (1.0 - b))
-    if isinstance(model, FGM):
-        return u * v + model.theta * u * v * (1.0 - u) * (1.0 - v)
-    if isinstance(model, Independence):
-        return u * v
-    raise TypeError("no analytic CDF for this model")
+    """(zeta1 of the model, zeta1 of its transpose), None where no closed form."""
+    return model._zeta1_pair()
 
 
 def analytic_checkerboard(model: CopulaModel, resolution: int) -> CheckerboardCopula:
@@ -189,7 +182,7 @@ def analytic_checkerboard(model: CopulaModel, resolution: int) -> CheckerboardCo
     """
     grid = np.arange(resolution + 1) / resolution
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
-    cdf = _model_cdf(model, uu, vv)
+    cdf = model._cdf(uu, vv)
     mass = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
     return CheckerboardCopula(np.maximum(mass, 0.0), validate=False)
 
@@ -236,8 +229,12 @@ class ShapeGenerator:
             raise ValueError(f"unknown shape {self.shape!r}; options: {SHAPE_NAMES}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= 2 * self.noise < math.inf:  # NaN fails; uniform() needs 2 * noise finite
+            raise ValueError("noise must be >= 0, and 2 * noise finite")
+        if self.shape == "non_coexistence" and self.noise == 0:
+            raise ValueError("non_coexistence needs a positive noise band")
+        if self.shape == "torus" and self.noise > 1:  # the squared radius is >= 1 - noise
+            raise ValueError("torus noise must be <= 1")
 
 
 def _rescale(values: np.ndarray) -> np.ndarray:
@@ -278,8 +275,6 @@ def generate_shape(gen: ShapeGenerator, seed) -> BivariateSample:
         x = x0 * np.cos(phi) - y0 * np.sin(phi)
         y = x0 * np.sin(phi) + y0 * np.cos(phi)
     elif gen.shape == "non_coexistence":
-        if a <= 0:
-            raise ValueError("non_coexistence needs a positive noise band")
         x0 = rng.uniform(0.0, 1.0, n)
         y0 = rng.uniform(0.0, 1.0, n)
         keep = (x0 <= a) | (y0 <= a)
@@ -355,23 +350,16 @@ def convergence_experiment(
     """Estimate the dependence of the model repeatedly across sample sizes.
 
     Replicate r at size index s draws its sample from
-    ``SeedSequence(entropy=seed, spawn_key=(s, r))``, so rows are reproducible
-    and independent of evaluation order.  Tasks run serially; ``threads`` is
-    checked but starts no thread.
+    ``SeedSequence(entropy=seed, spawn_key=(s, r))`` (``_replicate_sample``), so
+    rows are reproducible and independent of evaluation order.  Tasks run
+    serially; ``threads`` is checked but starts no thread.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    _check_threads(threads)
+    _check_count("replicates", replicates)
+    _check_count("threads", threads)
     ref_xy, ref_yx = zeta1_closed_form(model)
-    tasks = [
-        (si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates)
-    ]
 
-    def one(task):
-        si, n, rep = task
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(si, rep))
-        sample = sample_model(model, n, ss)
-        result = qad_compute(sample, QadOptions())
+    def one(si, n, rep):
+        result = qad_compute(_replicate_sample(model, n, seed, si, rep), QadOptions())
         return ExperimentRow(
             model=model.label,
             params=model.params(),
@@ -383,4 +371,5 @@ def convergence_experiment(
             ref_yx=ref_yx,
         )
 
-    return ExperimentResult(tuple(one(task) for task in tasks))
+    rows = (one(si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates))
+    return ExperimentResult(tuple(rows))

@@ -67,9 +67,10 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     """Read a delimited text file with a header row of unique column names.
 
     Returns (DataTable, IngestReport).  Raises DataError for unreadable or
-    non-UTF-8 files, duplicate or empty headers, ragged rows, and zero data
-    rows, and ValueError for a bad ``delimiter``.  Blank lines are skipped; a
-    ragged row is named by its line in the file.
+    non-UTF-8 files, duplicate or empty headers, ragged rows, rows the csv
+    module rejects (a cell above its field limit), and zero data rows, and
+    ValueError for a bad ``delimiter``.  Blank lines are skipped; a ragged or
+    rejected row is named by its line in the file.
     """
     _check_delimiter(delimiter)
     try:
@@ -83,19 +84,23 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     if delimiter is None:
         delimiter = _detect_delimiter(lines[0])
     reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
-    header = [h.strip() for h in next(reader)]
-    if any(not h for h in header):
-        raise DataError(f"{path}: empty column name in header")
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    k = len(header)
-    data_rows, taken = [], reader.line_num
-    for row in reader:
-        if len(row) != k:
-            line = _line_in_file(text, taken)  # the row starts after the lines taken
-            raise DataError(f"{path}: row {line} has {len(row)} fields, expected {k}")
-        taken = reader.line_num
-        data_rows.append(row)
+    taken = 0  # lines the reader has taken: the next row starts after them
+    try:
+        header = [h.strip() for h in next(reader)]
+        if any(not h for h in header):
+            raise DataError(f"{path}: empty column name in header")
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        k = len(header)
+        data_rows, taken = [], reader.line_num
+        for row in reader:
+            if len(row) != k:
+                line = _line_in_file(text, taken)
+                raise DataError(f"{path}: row {line} has {len(row)} fields, expected {k}")
+            taken = reader.line_num
+            data_rows.append(row)
+    except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
+        raise DataError(f"{path}: row {_line_in_file(text, taken)}: {exc}") from exc
     if not data_rows:
         raise DataError(f"{path}: zero data rows")
 

@@ -110,6 +110,17 @@ class TestIngest:
             ingest_csv(WDI, delimiter=delimiter)
 
 
+    def test_oversize_cell_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("a,b\n1,2\n\n3," + "9" * 200_000 + "\n4,5\n")
+        with pytest.raises(DataError, match=f"{path}: row 4: field larger than field limit"):
+            ingest_csv(path)
+        code, out, err = run_cli(capsys, "compute", str(path), "--x", "a", "--y", "b")
+        assert code == 3
+        assert f"error: {path}: row 4: field larger" in err
+        assert out == ""
+
+
 class TestComputeCommand:
     def test_wdi_birth_death(self, capsys):
         code, out, err = run_cli(
@@ -275,6 +286,12 @@ class TestComputeCommand:
         pytest.param(["simulate", "mo", "--alpha", "2", "--beta", "0.5", "-n", "10",
                       "--out", "{out}"],
                      "Marshall-Olkin parameters must lie in [0, 1]", id="simulate-mo-alpha"),
+        pytest.param(["simulate", "shape", "linear", "-n", "1", "--out", "{out}"],
+                     "n must be >= 2", id="simulate-shape-n"),
+        pytest.param(["simulate", "shape", "non_coexistence", "-n", "10", "--out", "{out}"],
+                     "non_coexistence needs a positive noise band", id="simulate-shape-band"),
+        pytest.param(["simulate", "shape", "torus", "-n", "10", "-a", "2", "--out", "{out}"],
+                     "torus noise must be <= 1", id="simulate-shape-torus"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
@@ -308,6 +325,33 @@ def test_oversized_resolution_is_named_error(capsys):
     assert "error: resolution 100000 is too large for n = 178" in err
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["compute", WDI, "--x", "birth", "--y", "death", "--out", "{missing}/x.json"],
+                     id="compute-out"),
+        pytest.param(["compute", WDI, "--x", "birth", "--y", "death", "--board-out", "{dir}"],
+                     id="compute-board-out"),
+        pytest.param(["predict", WDI, "--x", "birth", "--y", "gdp", "--at", "30",
+                      "--table-out", "{missing}/t.csv"], id="predict-table-out"),
+        pytest.param(["simulate", "fgm", "--theta", "0.5", "-n", "10", "--out", "{missing}/s.csv"],
+                     id="simulate-out"),
+        pytest.param(["pairwise", WDI, "--out", "{file}"], id="pairwise-out"),
+        pytest.param(["network", WDI, "--permutations", "9", "--out", "{file}"], id="network-out"),
+    ],
+)
+def test_unwritable_output_is_data_error(capsys, tmp_path, argv):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {name: tmp_path / name for name in ("missing", "dir", "file")}
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "error: cannot write " in err
+    assert "Traceback" not in err
 
 
 class TestPredictCommand:
@@ -468,6 +512,11 @@ class TestNetworkCommand:
 
         g = nx.read_graphml(out_dir / "network.graphml")
         assert g.number_of_nodes() == 4
+        # the edges carry their q weight and nothing else
+        assert g.number_of_edges() == len(edges) - 1
+        for src, dst, data in g.edges(data=True):
+            assert list(data) == ["weight"]
+            assert f"{src},{dst},{data['weight']:.6g}" in edges
 
 
 class TestSimulateCommand:

@@ -222,6 +222,23 @@ class TestPermutationTests:
         with pytest.raises(ValueError):
             permutation_test_dependence(sample, 0, seed=0)
 
+    @pytest.mark.parametrize("resolution", [0, -1, -2])
+    def test_resolution_override_below_1_is_named(self, resolution):
+        # the message of QadOptions, before any array is shaped by the override
+        from qad import prediction_table
+
+        xs = np.arange(20, dtype=float)
+        sample = BivariateSample(xs, xs**2)
+        calls = [
+            lambda: permutation_test_dependence(sample, 9, seed=0, resolution=resolution),
+            lambda: permutation_test_asymmetry(sample, 9, seed=0, resolution=resolution),
+            lambda: prediction_table(sample, resolution=resolution),
+            lambda: QadOptions(resolution_override=resolution),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^resolution override must be >= 1$"):
+                call()
+
 
 FAULTS_SCRIPT = """
 import resource

@@ -329,6 +329,24 @@ class TestNetwork:
             assert net.degree[leaf] == 1
             assert net.hub_score[leaf] == 0.0
 
+    def test_edge_order_is_row_major_and_nan_cells_drop_out(self):
+        names = ["a", "b", "c", "d"]
+        q = np.full((4, 4), 0.9)
+        np.fill_diagonal(q, np.nan)
+        q[3, 0] = np.nan  # no estimate
+        p = np.full((4, 4), 0.01)
+        np.fill_diagonal(p, np.nan)
+        p[0, 2] = p[2, 1] = np.nan  # no p-value
+        p[1, 3] = 0.5  # not significant
+        q[3, 2] = 0.7
+        net = build_network(_pw_result_from_matrices(names, q, p), q_threshold=0.5)
+        assert net.edges == (
+            ("a", "b", 0.9), ("a", "d", 0.9), ("b", "a", 0.9), ("b", "c", 0.9),
+            ("c", "a", 0.9), ("c", "d", 0.9), ("d", "b", 0.9), ("d", "c", 0.7),
+        )
+        assert all(type(w) is float for _, _, w in net.edges)
+        assert net.degree == {"a": 4, "b": 4, "c": 4, "d": 4}
+
     def test_path_betweenness(self):
         names = ["a", "b", "c"]
         q = np.full((3, 3), np.nan)

@@ -165,3 +165,18 @@ class TestTiedBreaks:
             assert_allclose(sum(p for _, _, p in merged), 1.0, atol=1e-12)
             widths = [hi - lo for lo, hi, _ in merged]
             assert all(w > 0 for w in widths) or len(merged) == 1
+
+
+def test_json_dict_keys_and_values():
+    # the dataclass fields in declaration order, arrays as lists of Python floats
+    xs = np.arange(16, dtype=float)
+    table = prediction_table(BivariateSample(xs, xs[::-1]), direction="yx")
+    doc = table.to_json_dict()
+    assert list(doc) == ["direction", "resolution", "cond", "x_breaks", "y_breaks"]
+    assert doc["direction"] == "yx"
+    assert doc["resolution"] == 4 and type(doc["resolution"]) is int
+    assert doc["cond"] == [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
+                           [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    assert doc["x_breaks"] == doc["y_breaks"] == [0.0, 3.0, 7.0, 11.0, 15.0]
+    for values in (*doc["cond"], doc["x_breaks"], doc["y_breaks"]):
+        assert all(type(v) is float for v in values)

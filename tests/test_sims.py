@@ -33,6 +33,37 @@ class TestModelValidation:
             sample_model(Independence(), 0, 1)
 
 
+def test_params_strings():
+    assert MarshallOlkin(0.3, 1).params() == "alpha=0.3;beta=1"
+    assert MarshallOlkin(0.25, 0.5).params() == "alpha=0.25;beta=0.5"
+    assert FGM(-0.5).params() == "theta=-0.5"
+    assert CompletelyDependent(5).params() == "slope=5"
+    assert CompletelyDependent(1234567).params() == "slope=1234567"
+    assert Independence().params() == ""
+
+
+@pytest.mark.parametrize(
+    "shape, n, noise, message",
+    [
+        ("linear", 1, 0.0, "n must be >= 2"),
+        ("linear", 10, -0.1, "noise must be >= 0"),
+        ("linear", 10, float("nan"), "noise must be >= 0"),
+        ("sinus", 10, float("inf"), "noise must be >= 0, and 2 \\* noise finite"),
+        ("quadratic", 10, 1e308, "noise must be >= 0, and 2 \\* noise finite"),
+        ("non_coexistence", 10, 0.0, "non_coexistence needs a positive noise band"),
+        ("torus", 10, 1.5, "torus noise must be <= 1"),
+    ],
+)
+def test_shape_parameters_checked_on_construction(shape, n, noise, message):
+    with pytest.raises(ValueError, match=message):
+        ShapeGenerator(shape, n, noise)
+
+
+def test_torus_noise_1_is_accepted():
+    sample = generate_shape(ShapeGenerator("torus", 200, 1.0), 3)
+    assert sample.n == 200
+
+
 class TestSamplers:
     @pytest.mark.parametrize(
         "model",
