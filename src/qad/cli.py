@@ -158,12 +158,13 @@ def _pairwise_result(args):
         table, filter_report = filter_columns(table, args.filter_ties)
         for name, prop in filter_report.dropped:
             _log(f"dropped column {name!r} (single-value proportion {prop:.3f})")
+    # both commands write into the --out directory: make it before the screen
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     opts = QadOptions(permutations=args.permutations, seed=args.seed)
     pw = pairwise_qad(table, opts, threads=args.threads)
     for w in pw.warnings:
         _log(f"warning: {w}")
-    with _writing(args.out):  # both commands write into the --out directory
-        os.makedirs(args.out, exist_ok=True)
     return table, pw, filter_report
 
 

@@ -117,10 +117,12 @@ class FGM(CopulaModel):
 class CompletelyDependent(CopulaModel):
     slope: int
     label = "cd"
+    # (slope * x) % 1.0 keeps 53 - log2(slope) of x's 53 bits: at least 32
+    MAX_SLOPE = 2**21
 
     def __post_init__(self):
-        if int(self.slope) != self.slope or self.slope < 1:
-            raise ValueError("slope must be a positive integer")
+        if int(self.slope) != self.slope or not 1 <= self.slope <= self.MAX_SLOPE:
+            raise ValueError(f"slope must be a positive integer <= {self.MAX_SLOPE}")
 
     def _sample(self, rng, n):
         x = rng.random(n)

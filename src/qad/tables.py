@@ -9,10 +9,9 @@ can surface a warning.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
 import numpy as np
@@ -52,9 +51,13 @@ def _detect_delimiter(first_line: str) -> str:
     return best if counts[best] > 0 else ","
 
 
-def _line_in_file(text: str, index: int) -> int:
-    """The line number in ``text`` of its non-blank line ``index`` (from 0)."""
-    return [no for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()][index]
+def _content_lines(fh, starts):
+    """Yield the non-blank lines of ``fh`` and append each one's line number to
+    ``starts``; cleared after each row, ``starts[0]`` is where a row begins."""
+    for number, line in enumerate(fh, start=1):
+        if line.strip():
+            starts.append(number)
+            yield line
 
 
 def _check_delimiter(delimiter):
@@ -69,38 +72,35 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     Returns (DataTable, IngestReport).  Raises DataError for unreadable or
     non-UTF-8 files, duplicate or empty headers, ragged rows, rows the csv
     module rejects (a cell above its field limit), and zero data rows, and
-    ValueError for a bad ``delimiter``.  Blank lines are skipped; a ragged or
-    rejected row is named by its line in the file.
+    ValueError for a bad ``delimiter``.  Rows end at LF, CR or CRLF; blank lines
+    are skipped; a ragged or rejected row is named by its first line in the file.
     """
     _check_delimiter(delimiter)
+    starts = []  # file line numbers of the row being read
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
+            lines = _content_lines(fh, starts)
+            first = next(lines, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            reader = csv.reader(chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
+            header = [h.strip() for h in next(reader)]
+            if any(not h for h in header):
+                raise DataError(f"{path}: empty column name in header")
+            if len(set(header)) != len(header):
+                raise DataError(f"{path}: duplicate column names in header")
+            k = len(header)
+            data_rows = []
+            starts.clear()
+            for row in reader:
+                if len(row) != k:
+                    raise DataError(f"{path}: row {starts[0]} has {len(row)} fields, expected {k}")
+                starts.clear()
+                data_rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    if delimiter is None:
-        delimiter = _detect_delimiter(lines[0])
-    reader = csv.reader(io.StringIO("\n".join(lines)), delimiter=delimiter)
-    taken = 0  # lines the reader has taken: the next row starts after them
-    try:
-        header = [h.strip() for h in next(reader)]
-        if any(not h for h in header):
-            raise DataError(f"{path}: empty column name in header")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-        k = len(header)
-        data_rows, taken = [], reader.line_num
-        for row in reader:
-            if len(row) != k:
-                line = _line_in_file(text, taken)
-                raise DataError(f"{path}: row {line} has {len(row)} fields, expected {k}")
-            taken = reader.line_num
-            data_rows.append(row)
     except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
-        raise DataError(f"{path}: row {_line_in_file(text, taken)}: {exc}") from exc
+        raise DataError(f"{path}: row {starts[0]}: {exc}") from exc
     if not data_rows:
         raise DataError(f"{path}: zero data rows")
 

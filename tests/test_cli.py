@@ -283,6 +283,10 @@ class TestComputeCommand:
                      "FGM parameter must lie in [-1, 1]", id="simulate-fgm-theta"),
         pytest.param(["simulate", "cd", "--slope", "0", "-n", "10", "--out", "{out}"],
                      "slope must be a positive integer", id="simulate-cd-slope"),
+        pytest.param(["simulate", "cd", "--slope", "9007199254740992", "-n", "10", "--out", "{out}"],
+                     "slope must be a positive integer", id="simulate-cd-slope-2p53"),
+        pytest.param(["simulate", "cd", "--slope", "1000000000000000000000000", "-n", "10",
+                      "--out", "{out}"], "slope must be a positive integer", id="simulate-cd-slope-huge"),
         pytest.param(["simulate", "mo", "--alpha", "2", "--beta", "0.5", "-n", "10",
                       "--out", "{out}"],
                      "Marshall-Olkin parameters must lie in [0, 1]", id="simulate-mo-alpha"),
@@ -352,6 +356,21 @@ def test_unwritable_output_is_data_error(capsys, tmp_path, argv):
     assert out == ""
     assert "error: cannot write " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pairwise", "network"])
+def test_unwritable_out_is_refused_before_the_screen(capsys, tmp_path, monkeypatch, command):
+    def screen(*args, **kwargs):
+        raise AssertionError("the screen ran before --out was checked")
+
+    monkeypatch.setattr("qad.cli.pairwise_qad", screen)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, command, WDI, "--permutations", "9",
+                             "--out", str(tmp_path / "file"))
+    assert code == 3
+    assert out == ""
+    assert "error: cannot write " in err
+    assert "warning: pair" not in err
 
 
 class TestPredictCommand:
