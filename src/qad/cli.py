@@ -21,7 +21,7 @@ import numpy as np
 
 from .copula import BivariateSample
 from .errors import DataError, DegenerateInputError
-from .estimator import QadOptions, _compute_with_boards
+from .estimator import MAX_PERMUTATIONS, QadOptions, _compute_with_boards
 from .pairwise import (
     _graph,
     baseline_correlations,
@@ -427,7 +427,7 @@ _ABOVE_0 = math.nextafter(0.0, 1.0)
 _FLAG_RANGES = (
     ("threads", 1, math.inf),
     ("seed", 0, math.inf),
-    ("permutations", 0, math.inf),
+    ("permutations", 0, MAX_PERMUTATIONS),
     ("resolution", 1, math.inf),
     ("reps", 1, math.inf),
     ("precision", 0, math.inf),
@@ -459,7 +459,9 @@ def main(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and not low <= value <= high:
             left = "(0" if low == _ABOVE_0 else f"[{low}"
-            valid = f">= {low}" if high == math.inf else f"in {left}, {high}]"
+            valid = f"in {left}, {high}]" if high <= 1 else f">= {low}"
+            if 1 < high < math.inf:
+                valid += f" and <= {high}"
             _log(f"error: --{flag.replace('_', '-')} must be {valid}")
             return EXIT_USAGE
     if getattr(args, "command", None) == "simulate":

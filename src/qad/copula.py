@@ -53,6 +53,8 @@ DGEMM_MAX_CELLS = 70_000
 
 
 def _as_float_vector(values, name):
+    if np.iscomplexobj(values):  # a float cast would drop the imaginary part
+        raise TypeError(f"{name} must be real, not complex")
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")

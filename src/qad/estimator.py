@@ -11,7 +11,8 @@ symmetry of the dependence.  The permutation tests reuse the same ranks.
 Randomness is drawn from numpy's seeded PCG64 generator.  Replicate b of
 test stream t uses ``SeedSequence(entropy=seed, spawn_key=(t, b))`` (t = 0 for
 the dependence test, t = 1 for the asymmetry test), which makes results
-reproducible and independent of evaluation order.  Replicates are evaluated
+reproducible and independent of evaluation order.  The contract is unchanged;
+``_replicate_rngs`` computes the states in blocks.  Replicates are evaluated
 serially in chunks: one bincount builds the boards of a chunk and zeta1
 runs on the stack, with the same arithmetic per board as a single estimate.
 Both skip only work whose result is known exactly (bincount entries of weight
@@ -54,6 +55,13 @@ ASYMMETRY_STREAM = 1
 #: larger chunks raise peak memory and measured no faster.
 CHUNK_ELEMENTS = 1 << 14
 
+#: Replicates seeded per ``_replicate_rngs`` pass, O(SEED_BLOCK) memory for any
+#: B; a pass per 16-replicate chunk measured slower than seeding one by one.
+SEED_BLOCK = 4096
+
+#: The most replicates of one test: b enters the spawn key as one 32-bit word.
+MAX_PERMUTATIONS = (1 << 32) - 1
+
 #: glibc's malloc serves every block above its mmap threshold (128 KiB at
 #: start) from fresh pages and returns the heap top to the system once more
 #: than twice that threshold is free, so the temporaries of each estimate and
@@ -77,9 +85,10 @@ MAX_FIT_CELLS = 1 << 26
 class QadOptions:
     """Estimation settings.
 
-    permutations = 0 skips the significance tests.  ``resolution_override``
-    replaces the default resolution rule (research use only).  ``threads`` is
-    checked but starts no thread: everything runs serially.
+    permutations = 0 skips the significance tests (at most MAX_PERMUTATIONS);
+    every field is an int or numpy integer.  ``resolution_override`` replaces
+    the default resolution rule (research use only).  ``threads`` is checked
+    but starts no thread: everything runs serially.
     """
 
     permutations: int = 0
@@ -88,20 +97,20 @@ class QadOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if self.permutations < 0:
-            raise ValueError("permutations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        _check_count("resolution override", self.resolution_override)
+        _check_count("permutations", self.permutations, 0, MAX_PERMUTATIONS)
+        _check_count("seed", self.seed, 0)
+        if self.resolution_override is not None:
+            _check_count("resolution override", self.resolution_override)
         _check_count("threads", self.threads)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError for a count below 1; None (no override) passes.  A
-    public ``threads`` is only checked: replicates, pairs and experiments run
-    serially."""
-    if value is not None and value < 1:
-        raise ValueError(f"{name} must be >= 1")
+def _check_count(name: str, value, low=1, high=math.inf) -> None:
+    """TypeError unless ``value`` is an int or numpy integer (not a bool),
+    ValueError outside [low, high].  ``threads`` is only checked: all runs serially."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be " + (f">= {low}" if value < low else f"<= {high}"))
 
 
 @dataclass(frozen=True)
@@ -150,12 +159,13 @@ def _prepare(sample, resolution=None):
     this costs one mmap/munmap pair the first time and no page fault; other
     allocators just free it.
     """
-    _check_count("resolution override", resolution)
+    if resolution is not None:
+        _check_count("resolution override", resolution)
     pobs = pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    if resolution is not None and N * N > MAX_FIT_CELLS:
+    elif N * N > MAX_FIT_CELLS:
         raise ValueError(
             f"resolution {N} is too large for n = {n}: the board would "
             f"hold {N * N} cells, above the limit of {MAX_FIT_CELLS}"
@@ -164,10 +174,40 @@ def _prepare(sample, resolution=None):
     return pobs, N
 
 
-def _derived_rng(seed: int, stream: int, replicate: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream, replicate))
-    )
+def _replicate_rngs(seed: int, stream: int, replicates: range):
+    """Yield, for each b in ``replicates``, one reused Generator in the state of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(stream, b)))``.
+
+    b is the last entropy word, so the pool of ``SeedSequence(seed,
+    spawn_key=(stream,))`` has mixed in the others; uint64 arrays mix in
+    ``hashmix(b)`` and run ``generate_state`` for SEED_BLOCK replicates at a
+    time, and PCG64 takes its state from those words by two 128-bit LCG steps.
+    """
+
+    def column(init, mult, steps):  # hash constants init * mult^k mod 2^32 of steps k
+        return np.array([[init * pow(mult, k, 1 << 32) % (1 << 32)] for k in steps], np.uint64)
+
+    pool = np.random.SeedSequence(seed, spawn_key=(stream,)).pool.astype(np.uint64)[:, None]
+    # four hash steps per earlier word: seed's 32-bit words, at least four, and stream
+    first = 4 * (max(4, (int(seed).bit_length() + 31) // 32) + 1)
+    h = column(0x43B0D7E5, 0x931E8875, range(first, first + 5))
+    g = column(0x8B51F9DD, 0x58F38DED, range(9))
+    rng = np.random.Generator(np.random.PCG64())
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(replicates), SEED_BLOCK):
+        block = replicates[start : start + SEED_BLOCK]
+        x = np.arange(block.start, block.stop, block.step, dtype=np.uint64)
+        x = (x ^ h[:4]) * h[1:] & 0xFFFFFFFF  # hashmix(b), once into each pool word
+        x = (0xCA01F9DD * pool - 0x4973F715 * (x ^ x >> 16)) & 0xFFFFFFFF  # mix
+        x = ((x ^ x >> 16)[[0, 1, 2, 3, 0, 1, 2, 3]] ^ g[:8]) * g[1:] & 0xFFFFFFFF
+        x ^= x >> 16  # the eight words of generate_state
+        for s_hi, s_lo, i_hi, i_lo in (x[0::2] | x[1::2] << 32).T.tolist():
+            # pcg64_set_seed: inc = 2i + 1, state = (inc + s) * multiplier + inc mod 2^128
+            inc = (i_hi << 65 | i_lo << 1 | 1) % (1 << 128)
+            s = (inc + (s_hi << 64 | s_lo)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+            state["state"] = {"state": s % (1 << 128), "inc": inc}
+            rng.bit_generator.state = state
+            yield rng
 
 
 def _q_pairs(boards: np.ndarray) -> np.ndarray:
@@ -211,12 +251,10 @@ def _dependence_null(pobs, N, permutations, seed):
     """
     n = pobs.n
     boards = _permuted_boards(pobs, N)
+    rngs = _replicate_rngs(seed, DEPENDENCE_STREAM, range(permutations))
 
     def chunk_q(chunk):
-        perms = np.stack(
-            [_derived_rng(seed, DEPENDENCE_STREAM, b).permutation(n) for b in chunk]
-        )
-        return _q_pairs(boards(perms))
+        return _q_pairs(boards(np.stack([next(rngs).permutation(n) for _ in chunk])))
 
     return np.concatenate([chunk_q(c) for c in _replicate_chunks(permutations, n, N)])
 
@@ -239,11 +277,10 @@ def _asymmetry_null(pobs, N, permutations, seed):
     """
     n = pobs.n
     ru, rv = pobs.ranks_u, pobs.ranks_v
+    rngs = _replicate_rngs(seed, ASYMMETRY_STREAM, range(permutations))
 
     def chunk_q(chunk):
-        swap = np.stack(
-            [_derived_rng(seed, ASYMMETRY_STREAM, b).random(n) < 0.5 for b in chunk]
-        )
+        swap = np.stack([next(rngs).random(n) < 0.5 for _ in chunk])
         su = ru + swap * (rv - ru)
         rub, tub = _stack_max_ranks(su, n)
         rvb, tvb = _stack_max_ranks((ru + rv) - su, n)
@@ -264,7 +301,8 @@ def _asymmetry_p(observed, null) -> float:
 
 def _permutation_test(null, p_value, sample, permutations, seed, resolution, threads):
     """``p_value(observed pairs, null(pobs, N, permutations, seed))`` of one test."""
-    _check_count("permutations", permutations)
+    _check_count("permutations", permutations, 1, MAX_PERMUTATIONS)
+    _check_count("seed", seed, 0)
     _check_count("threads", threads)
     pobs, N = _prepare(sample, resolution)
     return p_value(_observed_pairs(pobs, N), null(pobs, N, permutations, seed))

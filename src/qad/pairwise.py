@@ -150,7 +150,7 @@ def _pair_seed(seed: int, name_a: str, name_b: str) -> int:
     """Deterministic per-pair seed from the global seed and sorted names."""
     key = "\x1f".join(sorted((name_a, name_b))).encode("utf-8")
     digest = hashlib.sha256(key).digest()
-    return (seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
+    return (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
 
 
 def _canonical_pair(xs: np.ndarray, ys: np.ndarray) -> BivariateSample:

@@ -97,7 +97,14 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
                     raise DataError(f"{path}: row {starts[0]} has {len(row)} fields, expected {k}")
                 starts.clear()
                 data_rows.append(row)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:  # its position counts from the read block
+        with open(path, "rb") as fh:
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:  # the offset in the file
+                exc = whole
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
         raise DataError(f"{path}: row {starts[0]}: {exc}") from exc

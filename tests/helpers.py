@@ -5,7 +5,9 @@ The oracles here deliberately avoid the library's closed-form code paths:
 metric values are recomputed by brute-force Riemann summation and cell masses
 by direct rectangle-intersection arithmetic, so agreement is evidence rather
 than tautology.  The reference kernels at the end are the straightforward
-forms of two optimized library kernels, which must match them bit for bit.
+forms of two optimized library kernels, which must match them bit for bit,
+and the last builds a replicate generator with numpy's own seeding, which the
+estimator's batched seeding must reproduce draw for draw.
 """
 
 import numpy as np
@@ -230,3 +232,9 @@ def where_d1_pi_stack(mass):
     row[1:] = np.cumsum(np.full(N, 1.0 / (N * N))) * N
     e -= row
     return where_cells_integral(e)
+
+
+def reference_replicate_rng(seed, stream, replicate):
+    """The generator of permutation replicate ``replicate`` of test ``stream``,
+    built the documented way: numpy's own SeedSequence and PCG64 seeding."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, replicate)))

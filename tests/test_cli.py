@@ -104,6 +104,15 @@ class TestIngest:
         assert f"error: cannot read {path}" in err
         assert out == ""
 
+    def test_non_utf8_byte_named_at_its_file_offset(self, tmp_path):
+        # the decoder reads 8 KiB blocks; the message must count from the file start
+        body = bytearray(b"a,b\n" + b"1,2\n" * 6000)
+        body[20004] = 0xFF
+        path = tmp_path / "late.csv"
+        path.write_bytes(bytes(body))
+        with pytest.raises(DataError, match="byte 0xff in position 20004: invalid start byte"):
+            ingest_csv(path)
+
     @pytest.mark.parametrize("delimiter", ["", ";;", "\n", "\r"])
     def test_bad_delimiter_rejected(self, delimiter):
         with pytest.raises(ValueError, match="delimiter must be one character"):
@@ -247,6 +256,8 @@ class TestComputeCommand:
                       "--out", "{out}"], "--precision must be >= 0", id="pairwise-precision"),
         pytest.param(["pairwise", "{csv}", "--permutations", "-5", "--out", "{out}"],
                      "--permutations must be >= 0", id="pairwise-permutations"),
+        pytest.param(["compute", "{csv}", "--x", "a", "--y", "b", "--permutations", "4294967296"],
+                     "--permutations must be >= 0 and <= 4294967295", id="compute-permutations-above"),
         pytest.param(["network", "{csv}", "--permutations", "9", "--precision", "-2",
                       "--out", "{out}"], "--precision must be >= 0", id="network-precision"),
         pytest.param(["simulate", "fgm", "--theta", "0.5", "-n", "10", "--reps", "0"],

@@ -82,6 +82,14 @@ class TestPseudoObservations:
         with pytest.raises(ValueError, match="finite"):
             BivariateSample([1.0, 2.0], [np.inf, 1.0])
 
+    def test_complex_rejected(self):
+        # a float cast would warn and drop the imaginary part
+        xs = np.arange(10.0)
+        with pytest.raises(TypeError, match="^xs must be real, not complex$"):
+            BivariateSample(xs + 1j, xs)
+        with pytest.raises(TypeError, match="^ys must be real, not complex$"):
+            BivariateSample(xs, list(xs + 0j))
+
     def test_monotone_in_the_data(self):
         rng = np.random.default_rng(0)
         xs = rng.integers(0, 10, 50).astype(float)

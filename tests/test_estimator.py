@@ -173,8 +173,40 @@ class TestQadCompute:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             QadOptions(seed=-1)
 
+    @pytest.mark.parametrize("field", ["permutations", "seed", "resolution_override", "threads"])
+    @pytest.mark.parametrize("value", [1.5, 9.0, True, np.float64(3.0), "3"])
+    def test_options_take_only_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field.replace('_', ' ')} must be an integer, not"):
+            QadOptions(**{field: value})
+
+    def test_permutations_bounded_by_the_spawn_key_word(self):
+        assert QadOptions(permutations=2**32 - 1).permutations == 2**32 - 1
+        with pytest.raises(ValueError, match="^permutations must be <= 4294967295$"):
+            QadOptions(permutations=2**32)
+
+    def test_numpy_integer_seed_and_count_give_the_same_result(self):
+        rng = np.random.default_rng(3)
+        sample = BivariateSample(rng.random(200), rng.random(200))
+        plain = qad_compute(sample, QadOptions(permutations=49, seed=3)).to_dict()
+        for seed, B in ((np.int64(3), np.int32(49)), (np.uint8(3), np.uint64(49))):
+            assert qad_compute(sample, QadOptions(permutations=B, seed=seed)).to_dict() == plain
+        assert permutation_test_dependence(sample, np.int16(49), np.int64(3)) == (
+            permutation_test_dependence(sample, 49, 3)
+        )
+
 
 class TestPermutationTests:
+    @pytest.mark.parametrize("test", [permutation_test_dependence, permutation_test_asymmetry])
+    def test_integral_arguments(self, test):
+        sample = BivariateSample(np.arange(20.0), np.arange(20.0) % 7)
+        for B, seed in ((9.5, 0), (True, 0), (9, 1.5), (9, False), (9, np.float32(2))):
+            with pytest.raises(TypeError, match="must be an integer, not"):
+                test(sample, B, seed)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            test(sample, 9, -1)
+        with pytest.raises(ValueError, match="^permutations must be <= 4294967295$"):
+            test(sample, 2**32, 0)
+
     def test_perfect_dependence_minimal_p(self):
         xs = np.arange(1000, dtype=float)
         sample = BivariateSample(xs, xs)

@@ -97,6 +97,13 @@ class TestPairwiseQad:
                     assert pw.asymmetry[f, j] == -pw.asymmetry[j, f]
                     assert pw.asymmetry[f, j] == pw.q[f, j] - pw.q[j, f]
 
+    def test_numpy_integer_seed_gives_the_same_screen(self):
+        table = make_table(seed=55, n=100, k=3)
+        plain = pairwise_qad(table, QadOptions(permutations=19, seed=3))
+        typed = pairwise_qad(table, QadOptions(permutations=np.int64(19), seed=np.int64(3)))
+        assert_allclose(typed.p_q, plain.p_q, rtol=0, atol=0)
+        assert_allclose(typed.p_asymmetry, plain.p_asymmetry, rtol=0, atol=0)
+
     def test_duplicate_column_closed_form(self):
         z = np.arange(100, dtype=float)
         table = DataTable(("z1", "z2"), np.column_stack([z, z]))
