@@ -339,27 +339,6 @@ def _delta_overlap_matrix(lo, hi, strip_width, resolution):
     return np.diff(frac, axis=1)
 
 
-def _overlap_weights(lo, hi, strip_width, resolution, masses=None):
-    """``_delta_overlap_matrix(lo, hi, strip_width, resolution)``, its rows
-    scaled by ``masses`` when given, equal bit for bit and built sparsely.
-
-    A rectangle no wider than a strip meets at most two strips, so its row
-    holds the ``_two_strip_split`` weights w0 and 1 - w0, the same floats the
-    clip/diff formula gives, scattered into zeros.  Wider rectangles share the
-    row of their tie group from ``_tie_groups``.
-    """
-    (i0, i1, w0), group, dense = _tie_groups(lo, hi, strip_width, resolution)
-    masses = np.ones(lo.size) if masses is None else masses  # x * 1.0 is x
-    out = np.zeros((lo.size, resolution))
-    k, wide = np.arange(lo.size), np.flatnonzero(group >= 0)
-    # i1 first: a rectangle inside one strip has i1 == i0, w0 = 1 and w1 = 0;
-    # the rows of wide rectangles are then overwritten with their group's row
-    out[k, i1] = (1.0 - w0) * masses
-    out[k, i0] = w0 * masses
-    out[wide] = dense[group[wide]] * masses[wide, None]
-    return out
-
-
 def _two_strip_split(lo, hi, strip_width):
     """Strip indices and first-strip weight when every span fits in <= 2 strips;
     the weight is divided out only for spans that cross a boundary
@@ -419,43 +398,29 @@ def _aggregate_rects(lo_u, hi_u, lo_v, hi_v, masses, strip_width, resolution):
     ``masses``; a side shared by every row may be passed once as (1, m).  All
     coordinates are integers on a common scale where strip boundaries sit at
     multiples of ``strip_width`` and rectangle bounds at multiples of N;
-    overlap fractions are then exact up to one rounding each.  Rows whose rectangles are all no wider than a strip, so
-    that each meets at most two strips per axis, share one bincount; a row
-    with a wider rectangle is the dgemm of the two axes' ``_overlap_weights``,
-    the first scaled by the masses, or above ``DGEMM_MAX_CELLS`` the
-    ``_group_board`` of their ``_tie_groups``.
+    overlap fractions are then exact up to one rounding each.  Rows whose
+    rectangles are all no wider than a strip, so that each meets at most two
+    strips per axis, share one bincount; each other row goes to ``_boards``
+    with its two axes' ``_tie_groups``.
     """
     N = resolution
     widest = np.maximum(np.max(hi_u - lo_u, axis=-1), np.max(hi_v - lo_v, axis=-1))
     fits = widest <= strip_width
     if fits.all():
-        return _two_strip_boards(
-            _two_strip_split(lo_u, hi_u, strip_width),
-            _two_strip_split(lo_v, hi_v, strip_width),
-            masses,
-            N,
-        )
-    lo_u, hi_u, lo_v, hi_v = np.broadcast_arrays(lo_u, hi_u, lo_v, hi_v)
+        u, v = _two_strip_split(lo_u, hi_u, strip_width), _two_strip_split(lo_v, hi_v, strip_width)
+        return _two_strip_boards(u, v, masses, N)
+    bounds = np.broadcast_arrays(lo_u, hi_u, lo_v, hi_v)
     boards = np.empty((fits.size, N, N))
     if fits.any():
-        boards[fits] = _two_strip_boards(
-            _two_strip_split(lo_u[fits], hi_u[fits], strip_width),
-            _two_strip_split(lo_v[fits], hi_v[fits], strip_width),
-            masses,
-            N,
-        )
+        boards[fits] = _aggregate_rects(*(a[fits] for a in bounds), masses, strip_width, N)
     for c in np.flatnonzero(~fits):
-        if masses.size * N <= DGEMM_MAX_CELLS:
-            gu = _overlap_weights(lo_u[c], hi_u[c], strip_width, N, masses)
-            boards[c] = gu.T @ _overlap_weights(lo_v[c], hi_v[c], strip_width, N)
-        else:
-            u = _tie_groups(lo_u[c], hi_u[c], strip_width, N)
-            boards[c] = _group_board(u, _tie_groups(lo_v[c], hi_v[c], strip_width, N), masses, N)
+        u, v = (_tie_groups(lo[c], hi[c], strip_width, N) for lo, hi in (bounds[:2], bounds[2:]))
+        boards[c] = _boards(u, v, masses, N)(_AS_IS)[0]
     return boards
 
 
 def _tie_groups(lo, hi, strip_width, resolution):
-    """(split, group, rows): one axis of a rectangle measure for ``_group_board``.
+    """(split, group, rows): one axis of a rectangle measure, prepared for ``_boards``.
 
     ``split`` is the ``_two_strip_split`` of every rectangle, read only for
     those no wider than a strip.  A wider one has a tie group, named by hi // N,
@@ -508,6 +473,55 @@ def _group_board(u, v, masses, resolution):
     return board
 
 
+def _weights(axis, resolution, masses):
+    """The (m, N) overlap matrix of an axis from ``_tie_groups``, row k scaled
+    by masses[k]: ``_delta_overlap_matrix`` times the masses, bit for bit, built
+    sparsely.
+
+    A rectangle no wider than a strip meets at most two strips, so its row
+    holds the split weights w0 and 1 - w0, the same floats the clip/diff
+    formula gives, scattered into zeros; a wider one takes its group's row.
+    Masses of ones give the unscaled matrix (x * 1.0 is x).
+    """
+    (i0, i1, w0), group, rows = axis
+    out = np.zeros((group.size, resolution))
+    k, wide = np.arange(group.size), np.flatnonzero(group >= 0)
+    # i1 first: a rectangle inside one strip has i1 == i0, w0 = 1 and w1 = 0;
+    # the rows of wide rectangles are then overwritten with their group's row
+    out[k, i1] = (1.0 - w0) * masses
+    out[k, i0] = w0 * masses
+    out[wide] = rows[group[wide]] * masses[wide, None]
+    return out
+
+
+_AS_IS = (slice(None),)  # ``_boards`` indices of one row, v as it is: no gather, no copy
+
+
+def _boards(u, v, masses, resolution):
+    """``boards(perms)``: the (C, N, N) boards of the rectangle measure that
+    pairs axis u with axis v's rectangles gathered through each row of a (C, m)
+    index stack, or ``_AS_IS``; ``u`` and ``v`` are ``_tie_groups`` of the two
+    margins.
+
+    The one place a kernel is chosen, once per pair of axes: the two-strip
+    bincount when no rectangle of either axis is wider than a strip; above
+    ``DGEMM_MAX_CELLS`` overlap cells, ``_group_board`` per row; otherwise the
+    dgemm of u's overlap matrix, scaled by the masses, with v's.  What the
+    kernel needs is prepared here once, and a row gathers v's splits, group
+    ids or matrix rows, which changes neither the kernel nor v's tie groups.
+    """
+    N, (u_split, _, u_rows), (split, group, rows) = resolution, u, v
+    if not (len(u_rows) or len(rows)):
+        u_split = [a[None] for a in u_split]
+        return lambda perms: _two_strip_boards(u_split, [a[perms] for a in split], masses, N)
+    if masses.size * N > DGEMM_MAX_CELLS:
+        return lambda perms: np.stack(
+            [_group_board(u, ([a[p] for a in split], group[p], rows), masses, N) for p in perms]
+        )
+    gu, gv = _weights(u, N, masses).T, _weights(v, N, np.ones(masses.size))
+    return lambda perms: np.stack([gu @ gv[p] for p in perms])
+
+
 def _boards_from_ranks(ranks_u, ties_u, ranks_v, ties_v, n, resolution):
     """Checkerboard mass matrices (C, N, N) straight from per-element max-ranks.
 
@@ -551,8 +565,8 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
 
 def _dense(pobs: PseudoObservations, resolution: int) -> bool:
     """Whether a fit at resolution N is dense: some tie rectangle, t/n wide, is
-    wider than a strip, 1/N, so its boards take the dgemm or the tie-group
-    product instead of the two-strip splits."""
+    wider than a strip, 1/N, so ``_fit_boards`` takes its boards from
+    ``_boards`` instead of its stacked two-strip bincount."""
     return max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
 
 
@@ -563,10 +577,10 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     gives exactly the empirical copula of the swapped sample (same distinct
     pairs, same first-appearance order, same counts), so board_yx is
     bit-identical to fitting the swapped sample from scratch, though not
-    bitwise board_xy.T.  Each margin is prepared once for both boards, with
-    the floats ``_aggregate_rects`` would give each alone: a (2, m) stack of
-    splits that board_yx takes reversed, or on a dense fit an overlap matrix
-    the dgemm scales in place by the masses, or ``_tie_groups``.
+    bitwise board_xy.T.  A fit that is not dense splits each margin once, a
+    (2, m) stack that board_yx takes reversed, for one bincount; a dense fit
+    prepares each margin once by ``_tie_groups`` and takes board_xy from
+    ``_boards(u, v)`` and board_yx from ``_boards(v, u)``.
     """
     ecop = empirical_copula(pobs)
     N, n = resolution, ecop.n
@@ -576,46 +590,22 @@ def _fit_boards(pobs: PseudoObservations, resolution: int):
     if not _dense(pobs, N):
         split = _two_strip_split(lo, hi, n)
         boards = _two_strip_boards(split, [a[::-1] for a in split], w, N)
-    elif ecop.m * N > DGEMM_MAX_CELLS:
-        u, v = (_tie_groups(lo[k], hi[k], n, N) for k in (0, 1))
-        boards = (_group_board(u, v, w, N), _group_board(v, u, w, N))
     else:
-        # two (m, N) matrices alive at most: a scaled copy as a third raised peak
-        # memory and cost more to fault in than rebuilding the v matrix unscaled
-        gu = _overlap_weights(lo[0], hi[0], n, N)
-        board_yx = _overlap_weights(lo[1], hi[1], n, N, w).T @ gu
-        gu *= w[:, None]
-        boards = (gu.T @ _overlap_weights(lo[1], hi[1], n, N), board_yx)
+        u, v = (_tie_groups(lo[k], hi[k], n, N) for k in (0, 1))
+        boards = (_boards(u, v, w, N)(_AS_IS)[0], _boards(v, u, w, N)(_AS_IS)[0])
     return tuple(CheckerboardCopula(b, validate=False) for b in boards)
 
 
 def _permuted_boards(pobs: PseudoObservations, resolution: int):
     """``boards(perms)``: the (C, N, N) boards of the sample with its y side
     re-paired through each row of a (C, n) stack of permutations, as
-    ``_boards_from_ranks`` builds them.
-
-    Each side is prepared once: the strip splits, or, on a dense fit, the
-    dgemm's overlap matrices (the x side scaled by the masses) or the
-    ``_tie_groups``.  A permutation gathers the y side's rows, splits and group
-    ids, which changes neither the path nor the y side's tie groups.
+    ``_boards_from_ranks`` builds them: ``_boards`` of the two margins'
+    ``_tie_groups``, each prepared once for every replicate.
     """
     N, n = resolution, pobs.n
-    lo_u, hi_u = (pobs.ranks_u - pobs.ties_u) * N, pobs.ranks_u * N
-    lo_v, hi_v = (pobs.ranks_v - pobs.ties_v) * N, pobs.ranks_v * N
-    masses = np.full(n, 1.0 / n)
-    if not _dense(pobs, N):
-        u_split = _two_strip_split(lo_u[None], hi_u[None], n)
-        v_split = _two_strip_split(lo_v, hi_v, n)
-        return lambda perms: _two_strip_boards(u_split, [a[perms] for a in v_split], masses, N)
-    if n * N > DGEMM_MAX_CELLS:
-        u = _tie_groups(lo_u, hi_u, n, N)
-        split, group, rows = _tie_groups(lo_v, hi_v, n, N)
-        return lambda perms: np.stack(
-            [_group_board(u, ([a[p] for a in split], group[p], rows), masses, N) for p in perms]
-        )
-    gu = _overlap_weights(lo_u, hi_u, n, N, masses).T
-    gv = _overlap_weights(lo_v, hi_v, n, N)
-    return lambda perms: np.stack([gu @ gv[perm] for perm in perms])
+    u = _tie_groups((pobs.ranks_u - pobs.ties_u) * N, pobs.ranks_u * N, n, N)
+    v = _tie_groups((pobs.ranks_v - pobs.ties_v) * N, pobs.ranks_v * N, n, N)
+    return _boards(u, v, np.full(n, 1.0 / n), N)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,16 @@ def _observed_pairs(pobs, resolution):
     return _q_pairs(_boards_from_ranks(*(a[None] for a in ranks), pobs.n, resolution))[0]
 
 
+def _null(pobs, N, B, seed, stream, draw, boards):
+    """(B, 2) replicate (q_xy, q_yx) pairs of one test: replicate b draws
+    ``draw(rng)`` from its own generator of ``stream``, and ``boards`` builds
+    the boards of each chunk's stacked draws."""
+    rngs = _replicate_rngs(seed, stream, range(B))
+    # one Generator is reused, so each replicate draws before the next yield
+    stacks = (np.stack([draw(next(rngs)) for _ in c]) for c in _replicate_chunks(B, pobs.n, N))
+    return np.concatenate([_q_pairs(boards(stack)) for stack in stacks])
+
+
 def _dependence_null(pobs, N, permutations, seed):
     """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
@@ -251,12 +261,7 @@ def _dependence_null(pobs, N, permutations, seed):
     """
     n = pobs.n
     boards = _permuted_boards(pobs, N)
-    rngs = _replicate_rngs(seed, DEPENDENCE_STREAM, range(permutations))
-
-    def chunk_q(chunk):
-        return _q_pairs(boards(np.stack([next(rngs).permutation(n) for _ in chunk])))
-
-    return np.concatenate([chunk_q(c) for c in _replicate_chunks(permutations, n, N)])
+    return _null(pobs, N, permutations, seed, DEPENDENCE_STREAM, lambda r: r.permutation(n), boards)
 
 
 def _stack_max_ranks(values: np.ndarray, n: int):
@@ -275,18 +280,15 @@ def _asymmetry_null(pobs, N, permutations, seed):
     re-ranks each margin by counting; the ranks are integers in 1..n, so this
     gives the same (R, t) as ranking the normalized floats.
     """
-    n = pobs.n
-    ru, rv = pobs.ranks_u, pobs.ranks_v
-    rngs = _replicate_rngs(seed, ASYMMETRY_STREAM, range(permutations))
+    n, ru, rv = pobs.n, pobs.ranks_u, pobs.ranks_v
 
-    def chunk_q(chunk):
-        swap = np.stack([next(rngs).random(n) < 0.5 for _ in chunk])
+    def boards(swap):
         su = ru + swap * (rv - ru)
         rub, tub = _stack_max_ranks(su, n)
         rvb, tvb = _stack_max_ranks((ru + rv) - su, n)
-        return _q_pairs(_boards_from_ranks(rub, tub, rvb, tvb, n, N))
+        return _boards_from_ranks(rub, tub, rvb, tvb, n, N)
 
-    return np.concatenate([chunk_q(c) for c in _replicate_chunks(permutations, n, N)])
+    return _null(pobs, N, permutations, seed, ASYMMETRY_STREAM, lambda r: r.random(n) < 0.5, boards)
 
 
 def _dependence_p(observed, null):

@@ -51,6 +51,8 @@ class DataTable:
 
     def __post_init__(self):
         names = tuple(self.names)
+        if np.iscomplexobj(self.values):  # a float cast would drop the imaginary part
+            raise TypeError("values must be real, not complex")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")

@@ -357,6 +357,7 @@ def convergence_experiment(
     serially; ``threads`` is checked but starts no thread.
     """
     _check_count("replicates", replicates)
+    _check_count("seed", seed, 0)
     _check_count("threads", threads)
     ref_xy, ref_yx = zeta1_closed_form(model)
 

@@ -28,9 +28,10 @@ from qad.copula import (
     _delta_overlap_matrix,
     _fit_boards,
     _max_ranks,
-    _overlap_weights,
+    _tie_groups,
     _two_strip_boards,
     _two_strip_split,
+    _weights,
 )
 
 from helpers import (
@@ -425,9 +426,10 @@ def _same_bits(a, b):
 
 
 def _check_overlap_weights(xs, ys, resolution=None):
-    """Compare ``_overlap_weights`` with the clip/diff reference on both
-    margins, with per-element masses 1/n (permutation statistics) and with
-    distinct-pair masses counts/n (``_fit_boards``); returns the number of
+    """Compare ``_weights`` of each margin's ``_tie_groups`` with the clip/diff
+    reference on both margins, with per-element masses 1/n (permutation
+    statistics) and with distinct-pair masses counts/n (``_fit_boards``), and
+    unscaled with masses of ones; returns the number of
     distinct x tie groups wider than a strip."""
     pobs = pseudo_observations(BivariateSample(xs, ys))
     n = pobs.n
@@ -441,9 +443,9 @@ def _check_overlap_weights(xs, ys, resolution=None):
         (ecop.ranks_v, ecop.ties_v, ecop.counts / n),
     ):
         lo, hi = (ranks - ties) * N, ranks * N
-        reference = _delta_overlap_matrix(lo, hi, n, N)
-        assert _same_bits(_overlap_weights(lo, hi, n, N), reference)
-        assert _same_bits(_overlap_weights(lo, hi, n, N, masses), reference * masses[:, None])
+        reference, axis = _delta_overlap_matrix(lo, hi, n, N), _tie_groups(lo, hi, n, N)
+        assert _same_bits(_weights(axis, N, np.ones(lo.size)), reference)
+        assert _same_bits(_weights(axis, N, masses), reference * masses[:, None])
     wide = pobs.ties_u * N > n
     return np.unique(pobs.ranks_u[wide]).size
 

@@ -147,14 +147,29 @@ class TestAboveThreshold:
         # so the fit's board_xy also scores the observed statistic
         assert len(calls) == 6
 
-    def test_replicates_are_the_permuted_samples_boards(self):
+    @pytest.mark.parametrize("kernel", ["group_product", "dgemm", "two_strip"])
+    def test_replicates_are_the_permuted_samples_boards(self, kernel, monkeypatch):
         # the dependence test prepares both sides once and gathers the y side
-        # per replicate; that gives the boards of the permuted samples exactly
-        pobs, N = _prepare(self.sample)
-        perms = np.stack([np.random.default_rng(b).permutation(self.sample.n) for b in range(2)])
+        # per replicate; whichever kernel ``copula._boards`` chooses, that gives
+        # the boards of the permuted samples exactly
+        if kernel == "dgemm":
+            monkeypatch.setattr(copula, "DGEMM_MAX_CELLS", DGEMM)
+        sample = self.sample
+        if kernel == "two_strip":
+            x = np.random.default_rng(4).uniform(size=sample.n)
+            sample = BivariateSample(x, x + np.random.default_rng(5).normal(0.0, 0.2, sample.n))
+        pobs, N = _prepare(sample)
+        assert _dense(pobs, N) == (kernel != "two_strip")
+        perms = np.stack([np.random.default_rng(b).permutation(sample.n) for b in range(2)])
         ru, tu, rv, tv = pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v
-        direct = _boards_from_ranks(ru[None], tu[None], rv[perms], tv[perms], self.sample.n, N)
+        direct = _boards_from_ranks(ru[None], tu[None], rv[perms], tv[perms], sample.n, N)
+        ran = []
+        for name in ("_group_board", "_weights"):
+            original = getattr(copula, name)
+            monkeypatch.setattr(copula, name, lambda *a, f=original, k=name: ran.append(k) or f(*a))
         assert np.array_equal(_permuted_boards(pobs, N)(perms), direct)
+        expected = {"group_product": {"_group_board"}, "dgemm": {"_weights"}, "two_strip": set()}
+        assert set(ran) == expected[kernel]
 
     def test_swap_antisymmetry_is_exact(self):
         direct = qad_compute(self.sample)

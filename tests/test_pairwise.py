@@ -33,6 +33,10 @@ class TestDataTable:
         with pytest.raises(ValueError):
             DataTable(("a", "b", "c"), np.zeros((3, 2)))
 
+    def test_complex_values_rejected(self):
+        with pytest.raises(TypeError, match="real, not complex"):
+            DataTable(("a", "b"), np.array([[1 + 1j, 2], [3, 4]]))
+
     def test_unknown_column(self):
         table = make_table()
         with pytest.raises(DataError, match="unknown column"):

@@ -277,6 +277,11 @@ class TestConvergenceExperiment:
         assert result.rows[0].ref_xy == 1.0
         assert result.rows[0].ref_yx is None
 
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), (-1, ValueError), (True, TypeError)])
+    def test_seed_is_checked(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            convergence_experiment(FGM(-1.0), [50], 1, seed=seed)
+
     def test_deterministic_and_thread_invariant(self):
         a = convergence_experiment(FGM(-0.5), [200], 4, seed=9)
         b = convergence_experiment(FGM(-0.5), [200], 4, seed=9)

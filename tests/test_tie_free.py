@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import qad.copula
 from qad import BivariateSample, QadOptions, empirical_copula, ingest_csv, pseudo_observations
 from qad import qad_compute
-from qad.copula import _fit_boards, _max_ranks
-from qad.estimator import _observed_pairs, _q_pairs
+from qad import permutation_test_dependence
+from qad.copula import _dense, _fit_boards, _max_ranks
+from qad.estimator import _observed_pairs, _prepare, _q_pairs
 
 from helpers import dedup_empirical_copula, unique_max_ranks
 
@@ -115,24 +116,34 @@ class TestEmpiricalCopula:
         assert not np.shares_memory(ecop.ranks_u, pobs.ranks_u)
 
 
-def test_dense_fit_builds_the_u_overlap_matrix_once(monkeypatch):
+def test_dense_boards_build_their_overlap_matrices_once(monkeypatch):
     calls = []
-    original = qad.copula._overlap_weights
+    original = qad.copula._weights
 
-    def counting(lo, hi, strip_width, resolution, masses=None):
-        calls.append(masses is not None)
-        return original(lo, hi, strip_width, resolution, masses)
+    def counting(axis, resolution, masses):
+        calls.append(bool((masses == 1.0).all()))
+        return original(axis, resolution, masses)
 
-    monkeypatch.setattr(qad.copula, "_overlap_weights", counting)
+    monkeypatch.setattr(qad.copula, "_weights", counting)
     rng = np.random.default_rng(8)
     xs = rng.normal(size=2000)
     sample = BivariateSample(np.where(rng.random(2000) < 0.4, 0.0, xs), xs + rng.normal(size=2000))
-    _fit_boards(pseudo_observations(sample), 20)
-    # u once, unscaled, for both boards; v scaled for board_yx and unscaled for board_xy
-    assert calls == [False, True, False]
+    pobs, N = _prepare(sample)
+    assert _dense(pobs, N) and sample.n * N <= qad.copula.DGEMM_MAX_CELLS
+    _fit_boards(pobs, 20)
+    # per board, u scaled by the masses and v unscaled: board_xy, then board_yx
+    assert calls == [False, True, False, True]
     calls.clear()
     qad_compute(sample)
-    assert calls == [False, True, False]
+    assert calls == [False, True, False, True]
+    # the dependence null builds its two matrices once for every replicate,
+    # and the observed statistic's board two more
+    built = []
+    for B in (1, 9):
+        calls.clear()
+        permutation_test_dependence(sample, B, seed=1)
+        built.append(len(calls))
+    assert built == [4, 4]
 
 
 class TestObservedBoardReuse:
