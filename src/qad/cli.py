@@ -93,12 +93,19 @@ def _emit_csv(header: str, rows, out_path, precision: int):
     _emit_lines(lines, out_path)
 
 
-def _load_pair(path, x_name, y_name, missing, delimiter):
-    table, report = ingest_csv(path, missing=missing, delimiter=delimiter)
+def _read_table(args):
+    """The table of ``args.file``, read with the input flags; its report goes to stderr."""
+    table, report = ingest_csv(args.file, args.missing or DEFAULT_MISSING, args.delimiter)
     for msg in report.messages():
         _log(msg)
-    xs = table.column(x_name)
-    ys = table.column(y_name)
+    return table
+
+
+def _load_pair(args):
+    """The complete rows of columns ``args.x`` and ``args.y`` as a sample."""
+    table = _read_table(args)
+    xs = table.column(args.x)
+    ys = table.column(args.y)
     complete = ~(np.isnan(xs) | np.isnan(ys))
     n_dropped = int((~complete).sum())
     if n_dropped:
@@ -108,23 +115,13 @@ def _load_pair(path, x_name, y_name, missing, delimiter):
     return BivariateSample(xs[complete], ys[complete])
 
 
-def _add_io_options(parser):
-    parser.add_argument("--missing", action="append", default=None,
-                        help="missing-value marker (repeatable; default: empty and NA)")
-    parser.add_argument("--delimiter", default=None, help="field delimiter (default: sniffed)")
-
-
-def _missing_set(args):
-    return tuple(args.missing) if args.missing else DEFAULT_MISSING
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_compute(args) -> int:
-    sample = _load_pair(args.file, args.x, args.y, _missing_set(args), args.delimiter)
+    sample = _load_pair(args)
     opts = QadOptions(
         permutations=args.permutations,
         seed=args.seed,
@@ -150,9 +147,7 @@ def _cmd_compute(args) -> int:
 
 
 def _pairwise_result(args):
-    table, report = ingest_csv(args.file, missing=_missing_set(args), delimiter=args.delimiter)
-    for msg in report.messages():
-        _log(msg)
+    table = _read_table(args)
     filter_report = None
     if args.filter_ties is not None:
         table, filter_report = filter_columns(table, args.filter_ties)
@@ -222,7 +217,7 @@ def _cmd_pairwise(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    sample = _load_pair(args.file, args.x, args.y, _missing_set(args), args.delimiter)
+    sample = _load_pair(args)
     table = prediction_table(sample, direction=args.direction)
     if args.table_out:
         if args.table_out.endswith(".json"):
@@ -332,56 +327,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="dependence of one column pair")
-    p.add_argument("file")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    # flags shared by several subcommands, each declared once
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("file")
+    source.add_argument("--missing", action="append", default=None,
+                        help="missing-value marker (repeatable; default: empty and NA)")
+    source.add_argument("--delimiter", default=None, help="field delimiter (default: sniffed)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--x", required=True)
+    pair.add_argument("--y", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--threads", type=int, default=1)
+    precise = argparse.ArgumentParser(add_help=False)
+    precise.add_argument("--precision", type=int, default=6)
+    ties = argparse.ArgumentParser(add_help=False)
+    ties.add_argument("--filter-ties", type=float, default=None, metavar="P",
+                      help="drop columns whose top value share is >= P")
+
+    p = sub.add_parser("compute", parents=[source, pair, seeded], help="dependence of one column pair")
     p.add_argument("--permutations", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--board-out", default=None,
                    help="also write the fitted checkerboard mass matrices as JSON")
-    _add_io_options(p)
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("pairwise", help="dependence matrices over all column pairs")
-    p.add_argument("file")
-    p.add_argument("--filter-ties", type=float, default=None, metavar="P",
-                   help="drop columns whose top value share is >= P")
+    p = sub.add_parser("pairwise", parents=[source, seeded, precise, ties],
+                       help="dependence matrices over all column pairs")
     p.add_argument("--permutations", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--precision", type=int, default=6)
     p.add_argument("--out", required=True, help="output directory")
-    _add_io_options(p)
     p.set_defaults(func=_cmd_pairwise)
 
-    p = sub.add_parser("predict", help="conditional prediction at a data value")
-    p.add_argument("file")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p = sub.add_parser("predict", parents=[source, pair], help="conditional prediction at a data value")
     p.add_argument("--at", type=float, required=True)
     p.add_argument("--direction", choices=("xy", "yx"), default="xy")
     p.add_argument("--out", default=None)
     p.add_argument("--table-out", default=None,
                    help="also write the full prediction table (.json or CSV)")
-    _add_io_options(p)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("network", help="thresholded dependency network")
-    p.add_argument("file")
+    p = sub.add_parser("network", parents=[source, seeded, precise, ties],
+                       help="thresholded dependency network")
     p.add_argument("--q-threshold", type=float, default=0.325)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--permutations", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--filter-ties", type=float, default=None, metavar="P")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--precision", type=int, default=6)
     p.add_argument("--influence-test", choices=("sign", "signrank"), default="sign")
     p.add_argument("--out", required=True, help="output directory")
-    _add_io_options(p)
     p.set_defaults(func=_cmd_network)
 
     p = sub.add_parser("simulate", help="samples and convergence experiments")
@@ -392,25 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample size, or comma-separated sizes for experiments")
         if with_reps:
             sp.add_argument("--reps", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--precision", type=int, default=6)
         sp.add_argument("--out", default=None)
 
-    sp = model_sub.add_parser("mo", help="Marshall-Olkin copula")
+    simulated = [seeded, precise]
+    sp = model_sub.add_parser("mo", parents=simulated, help="Marshall-Olkin copula")
     # not "alpha": network's --alpha, a significance level, is range-checked
     sp.add_argument("--alpha", dest="mo_alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
     common_sim(sp)
-    sp = model_sub.add_parser("fgm", help="Farlie-Gumbel-Morgenstern copula")
+    sp = model_sub.add_parser("fgm", parents=simulated, help="Farlie-Gumbel-Morgenstern copula")
     sp.add_argument("--theta", type=float, required=True)
     common_sim(sp)
-    sp = model_sub.add_parser("cd", help="completely dependent copula y = a*x mod 1")
+    sp = model_sub.add_parser("cd", parents=simulated, help="completely dependent copula y = a*x mod 1")
     sp.add_argument("--slope", type=int, required=True)
     common_sim(sp)
-    sp = model_sub.add_parser("independence", help="independent uniforms")
+    sp = model_sub.add_parser("independence", parents=simulated, help="independent uniforms")
     common_sim(sp)
-    sp = model_sub.add_parser("shape", help="benchmark dependence shapes")
+    sp = model_sub.add_parser("shape", parents=simulated, help="benchmark dependence shapes")
     sp.add_argument("name", choices=SHAPE_NAMES)
     sp.add_argument("-a", "--noise", type=float, default=0.0)
     common_sim(sp, with_reps=False)

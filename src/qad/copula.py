@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_count, _real_array
+
 __all__ = [
     "BivariateSample",
     "PseudoObservations",
@@ -53,9 +55,7 @@ DGEMM_MAX_CELLS = 70_000
 
 
 def _as_float_vector(values, name):
-    if np.iscomplexobj(values):  # a float cast would drop the imaginary part
-        raise TypeError(f"{name} must be real, not complex")
-    arr = np.asarray(values, dtype=float)
+    arr = _real_array(values, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
@@ -227,16 +227,22 @@ def empirical_copula(pobs: PseudoObservations) -> EmpiricalCopula:
     )
 
 
+def _unit_coordinates(values, name):
+    """``_real_array(values)``, ValueError unless every entry lies in [0, 1];
+    NaN fails both comparisons."""
+    a = _real_array(values, name)
+    if not ((0 <= a) & (a <= 1)).all():
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return a
+
+
 def ecop_cdf(ecop: EmpiricalCopula, u, v):
     """Exact CDF of the empirical copula at (u, v) in [0, 1]^2.
 
     Sums, over the mass rectangles, the fraction of each rectangle covered by
     [0, u] x [0, v].  Scalars in, scalar out; arrays broadcast elementwise.
     """
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    if np.any((u_arr < 0) | (u_arr > 1) | (v_arr < 0) | (v_arr > 1)):
-        raise ValueError("coordinates must lie in [0, 1]")
+    u_arr, v_arr = _unit_coordinates(u, "u"), _unit_coordinates(v, "v")
     n = ecop.n
     lo_u = (ecop.ranks_u - ecop.ties_u) / n
     lo_v = (ecop.ranks_v - ecop.ties_v) / n
@@ -260,11 +266,13 @@ class CheckerboardCopula:
     __slots__ = ("resolution", "mass")
 
     def __init__(self, mass, validate: bool = True):
-        mass = np.asarray(mass, dtype=float)
+        mass = _real_array(mass, "mass") if validate else np.asarray(mass, dtype=float)
         if mass.ndim != 2 or mass.shape[0] != mass.shape[1]:
             raise ValueError("mass must be a square matrix")
         n = mass.shape[0]
         if validate:
+            if not np.isfinite(mass).all():  # NaN passes every tolerance check below
+                raise ValueError("mass entries must be finite")
             if np.any(mass < -MASS_TOL):
                 raise ValueError("mass entries must be nonnegative")
             target = 1.0 / n
@@ -281,17 +289,13 @@ class CheckerboardCopula:
     @classmethod
     def independence(cls, resolution: int) -> "CheckerboardCopula":
         """The product copula: all cells carry 1/N^2."""
-        n = int(resolution)
-        if n < 1:
-            raise ValueError("resolution must be >= 1")
+        n = _check_count("resolution", resolution)
         return cls(np.full((n, n), 1.0 / (n * n)), validate=False)
 
     @classmethod
     def comonotone(cls, resolution: int) -> "CheckerboardCopula":
         """The N-checkerboard of the minimum copula: mass 1/N on the diagonal."""
-        n = int(resolution)
-        if n < 1:
-            raise ValueError("resolution must be >= 1")
+        n = _check_count("resolution", resolution)
         return cls(np.eye(n) / n, validate=False)
 
     def transpose(self) -> "CheckerboardCopula":
@@ -544,9 +548,7 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
     fraction.  Aggregating a checkerboard to its own resolution returns an
     equal copula (the operation is a projection).
     """
-    N = int(resolution)
-    if N < 1:
-        raise ValueError("resolution must be >= 1")
+    N = _check_count("resolution", resolution)
     if isinstance(copula, EmpiricalCopula):
         ru, tu, rv, tv = copula.ranks_u, copula.ties_u, copula.ranks_v, copula.ties_v
         bounds = [(a * N)[None] for a in (ru - tu, ru, rv - tv, rv)]
@@ -715,6 +717,16 @@ def d_infty(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
     return float(np.max(np.abs(cb_a.cdf_grid() - cb_b.cdf_grid())))
 
 
+def _interpolate(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The piecewise-linear CDFs with values c[..., j] at j/N, j = 0..N, at each
+    y in [0, 1]: c[..., j]·(1 − s) + c[..., j + 1]·s, j = ⌊yN⌋ (N − 1 at y = 1)."""
+    N = c.shape[-1] - 1
+    pos = y * N
+    j = np.clip(pos.astype(int), 0, N - 1)
+    s = pos - j
+    return c[..., j] * (1.0 - s) + c[..., j + 1] * s
+
+
 def d_infty_markov(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
     """Sup over y of the x-averaged absolute conditional-CDF difference.
 
@@ -734,10 +746,7 @@ def d_infty_markov(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
         b = e1[strip_idx, cell_idx]
         roots = (cell_idx + a / (a - b)) / N
     candidates = np.concatenate([np.arange(N + 1) / N, roots])
-    pos = candidates * N
-    j = np.clip(pos.astype(int), 0, N - 1)
-    s = pos - j
-    vals = e[:, j] * (1.0 - s) + e[:, j + 1] * s  # (N, n_candidates)
+    vals = _interpolate(e, candidates)  # (N, n_candidates)
     phi = np.abs(vals).sum(axis=0) / N
     return float(phi.max())
 
@@ -748,17 +757,8 @@ def conditional_cdf(cb: CheckerboardCopula, strip: int, y):
     ``strip`` is 1-based (1 <= strip <= N).  The CDF is piecewise linear with
     value N * cumulative strip mass at each cell boundary.
     """
-    N = cb.resolution
-    if not 1 <= strip <= N:
-        raise ValueError("strip index out of range")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any((y_arr < 0) | (y_arr > 1)):
-        raise ValueError("y must lie in [0, 1]")
-    c = _boundary_cdfs(cb.mass)[strip - 1]
-    pos = y_arr * N
-    j = np.clip(pos.astype(int), 0, N - 1)
-    s = pos - j
-    out = c[j] * (1.0 - s) + c[j + 1] * s
+    strip = _check_count("strip", strip, 1, cb.resolution)
+    out = _interpolate(_boundary_cdfs(cb.mass)[strip - 1], _unit_coordinates(y, "y"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -771,8 +771,8 @@ def extremal_metric_pair(resolution: int):
     conditional CDFs disagree fully on the interior strips, giving
     d_infty = 1/(2N) and D_infty = (N-1)/N.
     """
-    N = int(resolution)
-    if N < 2 or N % 2:
+    N = _check_count("resolution", resolution, 2)
+    if N % 2:
         raise ValueError("resolution must be an even integer >= 2")
     full = 1.0 / N
     half = 1.0 / (2 * N)

@@ -36,7 +36,7 @@ from .copula import (
     pseudo_observations,
     zeta1,
 )
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _check_count
 
 __all__ = [
     "QadOptions",
@@ -102,15 +102,6 @@ class QadOptions:
         if self.resolution_override is not None:
             _check_count("resolution override", self.resolution_override)
         _check_count("threads", self.threads)
-
-
-def _check_count(name: str, value, low=1, high=math.inf) -> None:
-    """TypeError unless ``value`` is an int or numpy integer (not a bool),
-    ValueError outside [low, high].  ``threads`` is only checked: all runs serially."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-    if not low <= value <= high:
-        raise ValueError(f"{name} must be " + (f">= {low}" if value < low else f"<= {high}"))
 
 
 @dataclass(frozen=True)

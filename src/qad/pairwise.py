@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .copula import BivariateSample, _max_ranks
-from .errors import DataError
-from .estimator import QadOptions, _check_count, qad_compute
+from .errors import DataError, _check_count
+from .estimator import QadOptions, qad_compute
+from .tables import DataTable
 
 __all__ = [
-    "DataTable",
     "FilterReport",
     "PairwiseResult",
     "InfluenceSummary",
@@ -40,43 +40,6 @@ __all__ = [
     "build_network",
     "baseline_correlations",
 ]
-
-
-@dataclass(frozen=True)
-class DataTable:
-    """Named numeric columns with NaN as the missing-value marker."""
-
-    names: tuple[str, ...]
-    values: np.ndarray  # (n_rows, n_columns) float
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        if np.iscomplexobj(self.values):  # a float cast would drop the imaginary part
-            raise TypeError("values must be real, not complex")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-d array")
-        if len(names) != values.shape[1]:
-            raise ValueError("one name per column required")
-        if len(set(names)) != len(names):
-            raise ValueError("column names must be unique")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            idx = self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown column {name!r}") from None
-        return self.values[:, idx]
 
 
 @dataclass(frozen=True)

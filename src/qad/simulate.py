@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .copula import BivariateSample, CheckerboardCopula
-from .estimator import QadOptions, _check_count, qad_compute
+from .errors import _check_count
+from .estimator import QadOptions, qad_compute
 
 __all__ = [
     "MarshallOlkin",
@@ -147,10 +148,17 @@ class Independence(CopulaModel):
         return u * v
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``: a SeedSequence, a Generator, or an integer >= 0."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        _check_count("seed", seed, 0)
+    return np.random.default_rng(seed)
+
+
 def sample_model(model: CopulaModel, n: int, seed) -> BivariateSample:
     """Draw n i.i.d. pairs from the model's copula; ``seed``: int, SeedSequence or Generator."""
     _check_count("n", n)
-    return model._sample(np.random.default_rng(seed), n)
+    return model._sample(_rng(seed), n)
 
 
 def _replicate_sample(model: CopulaModel, n: int, seed: int, size_index: int, rep: int):
@@ -182,6 +190,7 @@ def analytic_checkerboard(model: CopulaModel, resolution: int) -> CheckerboardCo
     Serves as a transcription guard for the closed-form formulas: zeta1 of
     this board converges to the closed-form value as the resolution grows.
     """
+    resolution = _check_count("resolution", resolution)
     grid = np.arange(resolution + 1) / resolution
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     cdf = model._cdf(uu, vv)
@@ -229,9 +238,9 @@ class ShapeGenerator:
     def __post_init__(self):
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}; options: {SHAPE_NAMES}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if not 0 <= 2 * self.noise < math.inf:  # NaN fails; uniform() needs 2 * noise finite
+        _check_count("n", self.n, 2)
+        # NaN fails; uniform() needs 2 * noise finite, as a float64 (a float16 overflows)
+        if not 0 <= 2 * float(self.noise) < math.inf:
             raise ValueError("noise must be >= 0, and 2 * noise finite")
         if self.shape == "non_coexistence" and self.noise == 0:
             raise ValueError("non_coexistence needs a positive noise band")
@@ -247,8 +256,8 @@ def _rescale(values: np.ndarray) -> np.ndarray:
 
 
 def generate_shape(gen: ShapeGenerator, seed) -> BivariateSample:
-    """Draw one sample of the requested shape."""
-    rng = np.random.default_rng(seed)
+    """Draw one sample of the requested shape; ``seed``: int, SeedSequence or Generator."""
+    rng = _rng(seed)
     n, a = gen.n, gen.noise
 
     def noise(size):

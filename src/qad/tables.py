@@ -1,4 +1,4 @@
-"""CSV ingestion into numeric data tables.
+"""Numeric data tables and their ingestion from CSV.
 
 Parsing is locale-independent (decimal point only).  Cells matching a missing
 marker become NaN; cells that fail numeric parsing or parse to a non-finite
@@ -16,12 +16,46 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError
-from .pairwise import DataTable
+from .errors import DataError, _real_array
 
-__all__ = ["ingest_csv", "IngestReport"]
+__all__ = ["DataTable", "ingest_csv", "IngestReport"]
 
 DEFAULT_MISSING = ("", "NA")
+
+
+@dataclass(frozen=True)
+class DataTable:
+    """Named numeric columns with NaN as the missing-value marker."""
+
+    names: tuple[str, ...]
+    values: np.ndarray  # (n_rows, n_columns) float
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        values = _real_array(self.values, "values")
+        if values.ndim != 2:
+            raise ValueError("values must be a 2-d array")
+        if len(names) != values.shape[1]:
+            raise ValueError("one name per column required")
+        if len(set(names)) != len(names):
+            raise ValueError("column names must be unique")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def n_rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n_columns(self) -> int:
+        return self.values.shape[1]
+
+    def column(self, name: str) -> np.ndarray:
+        try:
+            idx = self.names.index(name)
+        except ValueError:
+            raise DataError(f"unknown column {name!r}") from None
+        return self.values[:, idx]
 
 
 @dataclass(frozen=True)

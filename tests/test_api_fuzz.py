@@ -1,0 +1,314 @@
+"""Library-API fuzz: every public entry point either returns a result that keeps
+its invariants or raises one of qad's own errors.
+
+Inputs come in the forms a caller may hand over: Python lists, int, bool,
+float16/32/64, complex and object arrays, read-only and non-contiguous arrays,
+0-d and 2-d arrays where 1-d ones are expected, and counts and seeds as Python
+or numpy integers, floats and bools.  Warnings are raised as errors, so numpy
+may neither cast silently (ComplexWarning) nor compute on bad values.  A
+rejection must come from a ``raise`` statement in qad's source: an error that
+numpy or Python raises on qad's behalf carries no message of qad's own.
+"""
+
+import os
+import traceback
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qad
+from qad import (
+    BivariateSample,
+    CheckerboardCopula,
+    DataError,
+    DataTable,
+    DegenerateInputError,
+    QadOptions,
+    ShapeGenerator,
+    conditional_cdf,
+    ecop_cdf,
+    empirical_copula,
+    generate_shape,
+    pairwise_qad,
+    pseudo_observations,
+    qad_compute,
+)
+from qad.estimator import MAX_PERMUTATIONS
+
+FUZZ = settings(
+    max_examples=25,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+QAD_ERRORS = (ValueError, TypeError, DataError, DegenerateInputError)
+QAD_SOURCE = os.path.dirname(os.path.abspath(qad.__file__))
+
+FORMS = (
+    "list", "int", "bool", "float16", "float32", "float64", "complex", "object",
+    "read-only", "non-contiguous", "0-d", "2-d",
+)
+
+
+def _shaped(base: np.ndarray, form: str, want_2d: bool = False):
+    """``base`` (float64, 1-d, or 2-d if ``want_2d``) handed over in ``form``."""
+    if form == "list":
+        return base.tolist()
+    if form in ("int", "bool"):
+        with np.errstate(invalid="ignore"):  # NaN and inf have no integer value
+            return np.nan_to_num(base, nan=0, posinf=7, neginf=-7).astype(form)
+    if form in ("float16", "float32", "float64"):
+        with np.errstate(over="ignore"):
+            return base.astype(form)
+    if form == "complex":
+        return base.astype(complex)
+    if form == "object":
+        return base.astype(object)
+    if form == "read-only":
+        out = base.copy()
+        out.setflags(write=False)
+        return out
+    if form == "non-contiguous":
+        wide = np.repeat(base, 2, axis=-1)
+        return wide[..., ::2]
+    if form == "0-d":
+        return np.asarray(base.flat[0] if base.size else 0.0)
+    return base[None] if not want_2d else base[..., None]  # one dimension too many
+
+
+def _values(draw, shape, low=-3.0, high=3.0, specials=(np.nan, np.inf, -np.inf)):
+    """A float64 array of ``shape``: few distinct values (ties) and some specials."""
+    pool = draw(st.lists(st.floats(low, high), min_size=1, max_size=6))
+    pool += draw(st.lists(st.sampled_from(specials), max_size=1))
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
+                        max_size=int(np.prod(shape))))
+    return np.array([pool[i] for i in idx], dtype=float).reshape(shape)
+
+
+def _count(low, high, extra=()):
+    """A count in any of the types a caller may pass: valid and invalid values of
+    Python int, numpy integers, Python and numpy floats, and bools."""
+    ints = st.integers(low, high)
+    return st.one_of(
+        ints,
+        st.integers(low, min(high, 1 << 62)).map(np.int64),
+        st.integers(max(low, 0), min(high, (1 << 32) - 1)).map(np.uint32),
+        ints.map(float),
+        ints.map(np.float64),
+        st.sampled_from([0.5, float("nan"), float("inf")]),
+        st.booleans(),
+        st.booleans().map(np.bool_),
+        st.sampled_from(list(extra) or [high + 1]),
+    )
+
+
+def _call(fn, *args, **kwargs):
+    """(result, None) or (None, error); any warning is an error, and an error must
+    be one of QAD_ERRORS raised by a ``raise`` statement in qad's source."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args, **kwargs), None
+        except QAD_ERRORS as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            own = frame.filename.startswith(QAD_SOURCE) and frame.line.startswith("raise")
+            assert own, f"{type(exc).__name__}: {exc} at {frame.filename}:{frame.lineno}"
+            return None, exc
+
+
+def _in_unit(values, tol=1e-12):
+    values = np.asarray(values, dtype=float)
+    return bool(np.all((values >= -tol) & (values <= 1 + tol)))
+
+
+def _check_result(result, B):
+    assert 0.0 <= result.q_xy <= 1.0 and 0.0 <= result.q_yx <= 1.0
+    assert result.asymmetry == result.q_xy - result.q_yx
+    ps = (result.p_q_xy, result.p_q_yx, result.p_asymmetry)
+    if B:
+        assert all(1 / (B + 1) <= p <= 1 for p in ps)
+    else:
+        assert ps == (None, None, None)
+
+
+@st.composite
+def _pair_inputs(draw):
+    n = draw(st.integers(1, 12))
+    xs = _shaped(_values(draw, (n,)), draw(st.sampled_from(FORMS)))
+    ys = _shaped(_values(draw, (draw(st.sampled_from([n, n, n + 1])),)), draw(st.sampled_from(FORMS)))
+    return xs, ys
+
+
+@settings(FUZZ)
+@given(_pair_inputs())
+def test_bivariate_sample(inputs):
+    sample, _ = _call(BivariateSample, *inputs)
+    if sample is not None:
+        for arr in (sample.xs, sample.ys):
+            assert arr.dtype == np.float64 and arr.ndim == 1 and np.isfinite(arr).all()
+        assert sample.xs.size == sample.ys.size == sample.n >= 1
+
+
+#: a 40-row sample with ties in both margins
+TIED = BivariateSample(np.arange(40) % 7, (np.arange(40) * 3) % 11 + (np.arange(40) > 30))
+
+
+@settings(FUZZ)
+@given(
+    _count(-2, 12, [MAX_PERMUTATIONS + 1]),
+    _count(-2, 1 << 70),
+    st.one_of(st.none(), _count(-2, 30, [1 << 14])),
+    _count(-2, 4),
+)
+def test_qad_options(permutations, seed, resolution, threads):
+    opts, _ = _call(QadOptions, permutations, seed, resolution, threads)
+    if opts is not None:
+        result, _ = _call(qad_compute, TIED, opts)
+        if result is not None:
+            _check_result(result, int(permutations))
+
+
+@st.composite
+def _tables(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=cols, max_size=cols + 1))
+    return names, _shaped(_values(draw, (rows, cols)), draw(st.sampled_from(FORMS)), want_2d=True)
+
+
+@settings(FUZZ)
+@given(_tables())
+def test_data_table(inputs):
+    table, _ = _call(DataTable, *inputs)
+    if table is not None:
+        assert table.values.dtype == np.float64 and table.values.ndim == 2
+        assert table.n_columns == len(table.names) == len(set(table.names))
+
+
+@st.composite
+def _screens(draw):
+    rows, cols = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    values = _values(draw, (rows, cols), specials=(np.nan, np.nan, np.inf))
+    table = DataTable(tuple("wxyz"[:cols]), values)
+    opts = QadOptions(permutations=draw(st.integers(0, 9)), seed=draw(st.integers(0, 1 << 66)))
+    return table, opts, draw(_count(-1, 3))
+
+
+@settings(FUZZ)
+@given(_screens())
+def test_pairwise_qad(inputs):
+    table, opts, threads = inputs
+    pw, _ = _call(pairwise_qad, table, opts, threads=threads)
+    if pw is None:
+        return
+    off = ~np.eye(pw.k, dtype=bool)
+    estimated = off & ~np.isnan(pw.q)
+    assert np.isnan(pw.q[~off]).all() and _in_unit(pw.q[estimated], 0.0)
+    q_gap = pw.q - pw.q.T
+    assert np.array_equal(pw.asymmetry[estimated], q_gap[estimated])
+    assert np.array_equal(np.isnan(pw.asymmetry), np.isnan(pw.q))
+    for p in (pw.p_q, pw.p_asymmetry):
+        if opts.permutations:
+            assert np.array_equal(np.isnan(p), np.isnan(pw.q))
+            assert np.all((p[estimated] >= 1 / (opts.permutations + 1)) & (p[estimated] <= 1))
+        else:
+            assert np.isnan(p).all()
+
+
+@st.composite
+def _boards(draw):
+    """A valid board: the mean of one to three N x N permutation boards."""
+    N = draw(st.integers(1, 4))
+    perms = [draw(st.permutations(range(N))) for _ in range(draw(st.integers(1, 3)))]
+    return sum(np.eye(N)[list(p)] for p in perms) / (N * len(perms))
+
+
+@st.composite
+def _masses(draw):
+    mass = draw(_boards())
+    N = mass.shape[0]
+    flaw = draw(st.sampled_from([None, None, np.nan, np.inf, -0.5, 0.25]))
+    if flaw is not None:
+        mass.flat[draw(st.integers(0, N * N - 1))] = flaw
+    return _shaped(mass, draw(st.sampled_from(FORMS)), want_2d=True)
+
+
+@settings(FUZZ)
+@given(_masses())
+def test_checkerboard_copula(mass):
+    cb, _ = _call(CheckerboardCopula, mass)
+    if cb is not None:
+        N = cb.resolution
+        assert cb.mass.shape == (N, N) and np.isfinite(cb.mass).all() and (cb.mass >= 0).all()
+        assert np.allclose(cb.mass.sum(axis=0), 1 / N) and np.allclose(cb.mass.sum(axis=1), 1 / N)
+
+
+COPULA = empirical_copula(pseudo_observations(TIED))
+
+
+def _coordinates(n):
+    """n coordinates, a few of them outside [0, 1] or NaN, in any form."""
+    points = st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.999, -0.1, 1.1, np.nan])
+    values = st.lists(points, min_size=n, max_size=n).map(np.array)
+    return st.builds(_shaped, values, st.sampled_from(FORMS))
+
+
+@settings(FUZZ)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_coordinates(n), _coordinates(n))))
+def test_ecop_cdf(coordinates):
+    u, v = coordinates
+    out, _ = _call(ecop_cdf, COPULA, u, v)
+    if out is not None:
+        assert np.shape(out) == np.broadcast_shapes(np.shape(u), np.shape(v))
+        assert _in_unit(out)
+
+
+@settings(FUZZ)
+@given(_boards(), _count(-1, 5), st.integers(1, 5).flatmap(_coordinates))
+def test_conditional_cdf(mass, strip, y):
+    cb = CheckerboardCopula(mass)
+    out, _ = _call(conditional_cdf, cb, strip, y)
+    if out is not None:
+        assert np.shape(out) == np.shape(y) and _in_unit(out)
+
+
+@settings(FUZZ)
+@given(
+    st.sampled_from(qad.SHAPE_NAMES + ("spiral",)),
+    _count(-1, 40, [float("-inf")]),
+    st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.5, -0.1, np.nan, np.inf, 1e308]),
+              st.sampled_from([0.1, 0.7, 65504.0]).map(np.float16),
+              st.floats(0, 2).map(np.float32), st.integers(0, 2), st.booleans()),
+    st.one_of(_count(-1, 1 << 65), st.just(np.random.SeedSequence(3)), st.none()),
+)
+def test_shape_generator(shape, n, noise, seed):
+    gen, _ = _call(ShapeGenerator, shape, n, noise)
+    if gen is None:
+        return
+    sample, _ = _call(generate_shape, gen, seed)
+    if sample is not None:
+        assert _in_unit(sample.xs, 0.0) and _in_unit(sample.ys, 0.0) and sample.n >= 2
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_every_form_of_valid_values(form):
+    """Valid values in every form are taken, or refused by qad itself: complex
+    ones always, 0-d and 2-d ones where 1-d ones are expected."""
+    xs = _shaped(np.array([0.5, 1.0, 1.0, 0.0]), form)
+    outcomes = [
+        _call(BivariateSample, xs, xs),
+        _call(ecop_cdf, COPULA, xs, xs),
+        _call(DataTable, ["a"], _shaped(np.array([[0.5], [1.0]]), form, want_2d=True)),
+        _call(CheckerboardCopula, _shaped(np.ones((1, 1)), form, want_2d=True)),
+    ]
+    refused = [err is not None for _, err in outcomes]
+    if form == "complex":
+        assert all(refused)
+    elif form in ("0-d", "2-d"):  # ecop_cdf broadcasts any shape
+        assert refused == [True, False, True, True]
+    else:
+        assert not any(refused)

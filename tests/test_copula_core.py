@@ -690,3 +690,56 @@ class TestCheckerboardValidation:
         d = cb.to_json_dict()
         assert d["resolution"] == 2
         assert d["mass"] == [0.5, 0.0, 0.0, 0.5]
+
+
+class TestRangeAndCountChecks:
+    """NaN fails every range check, and resolutions and strips are integer counts."""
+
+    def test_non_finite_mass_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="mass entries must be finite"):
+                CheckerboardCopula(np.array([[0.5, bad], [0.0, 0.5]]))
+
+    def test_complex_mass_rejected(self):
+        with pytest.raises(TypeError, match="real"):
+            CheckerboardCopula(np.eye(2, dtype=complex) / 2)
+
+    def test_nan_coordinates_rejected(self):
+        e = empirical_copula(pseudo_observations(TIED_SAMPLE))
+        with pytest.raises(ValueError, match="u must lie in"):
+            ecop_cdf(e, np.nan, 0.5)
+        with pytest.raises(ValueError, match="v must lie in"):
+            ecop_cdf(e, 0.5, [0.2, np.nan])
+        cb = CheckerboardCopula.independence(3)
+        with pytest.raises(ValueError, match="y must lie in"):
+            conditional_cdf(cb, 1, np.nan)
+
+    def test_strip_is_a_count(self):
+        cb = CheckerboardCopula.comonotone(3)
+        with pytest.raises(TypeError, match="strip must be an integer"):
+            conditional_cdf(cb, 1.5, 0.5)
+        with pytest.raises(TypeError, match="strip must be an integer"):
+            conditional_cdf(cb, True, 0.5)
+        with pytest.raises(ValueError, match="strip must be <= 3"):
+            conditional_cdf(cb, 4, 0.5)
+        assert conditional_cdf(cb, np.int64(2), 0.5) == conditional_cdf(cb, 2, 0.5) == 0.5
+
+    @pytest.mark.parametrize("resolution", [2.5, 2.0, np.float64(4.0), True, "4"])
+    def test_resolution_is_a_count(self, resolution):
+        e = empirical_copula(pseudo_observations(TIED_SAMPLE))
+        for build in (
+            CheckerboardCopula.independence,
+            CheckerboardCopula.comonotone,
+            extremal_metric_pair,
+            lambda N: checkerboard_aggregate(e, N),
+        ):
+            with pytest.raises(TypeError, match="resolution must be an integer"):
+                build(resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        e = empirical_copula(pseudo_observations(TIED_SAMPLE))
+        assert checkerboard_aggregate(e, np.int32(2)) == checkerboard_aggregate(e, 2)
+        assert CheckerboardCopula.independence(np.uint8(3)).resolution == 3
+        assert extremal_metric_pair(np.int64(4))[0] == extremal_metric_pair(4)[0]
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            extremal_metric_pair(0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qad import (
@@ -142,33 +144,34 @@ class TestPairwiseQad:
                 assert pw.q[f, j] == canon.q_xy
                 assert pw.q[j, f] == canon.q_yx
 
-    def test_row_order_invariance(self):
-        table = make_table(seed=55, n=150, k=3)
-        opts = QadOptions(permutations=19, seed=3)
+    @settings(max_examples=15, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_row_and_column_order_invariance(self, data):
+        """On tables with tied values and empty cells, a row shuffle leaves every
+        matrix bit-identical, and a column permutation permutes its rows and
+        columns to match."""
+        k, n = data.draw(st.integers(3, 4)), data.draw(st.integers(20, 60))
+        columns = []
+        for _ in range(k):
+            pool = [v / 8 for v in data.draw(st.sets(st.integers(-40, 40), min_size=2, max_size=40))]
+            columns.append(data.draw(st.lists(st.sampled_from(pool + [np.nan]), min_size=n, max_size=n)))
+        names = tuple(data.draw(st.permutations("abcd"))[:k])
+        table = DataTable(names, np.array(columns).T)
+        opts = QadOptions(permutations=19, seed=data.draw(st.integers(0, 1 << 64)))
         base = pairwise_qad(table, opts)
-        rng = np.random.default_rng(56)
-        perm = rng.permutation(table.n_rows)
-        shuffled = DataTable(table.names, table.values[perm])
-        other = pairwise_qad(shuffled, opts)
-        assert np.array_equal(base.q, other.q, equal_nan=True)
-        assert np.array_equal(base.p_q, other.p_q, equal_nan=True)
-        assert np.array_equal(base.p_asymmetry, other.p_asymmetry, equal_nan=True)
+        matrices = ("q", "p_q", "asymmetry", "p_asymmetry", "n_used")
 
-    def test_column_order_conjugation(self):
-        table = make_table(seed=57, n=150, k=3)
-        opts = QadOptions(permutations=19, seed=5)
-        base = pairwise_qad(table, opts)
-        order = [2, 0, 1]
-        permuted = DataTable(
-            tuple(table.names[i] for i in order), table.values[:, order]
+        rows = data.draw(st.permutations(range(n)))
+        shuffled = pairwise_qad(DataTable(names, table.values[rows]), opts)
+        order = data.draw(st.permutations(range(k)))
+        permuted = pairwise_qad(
+            DataTable(tuple(names[i] for i in order), table.values[:, order]), opts
         )
-        other = pairwise_qad(permuted, opts)
-        for a, na in enumerate(order):
-            for b, nb in enumerate(order):
-                if a == b:
-                    continue
-                assert other.q[a, b] == base.q[na, nb]
-                assert other.p_q[a, b] == base.p_q[na, nb]
+        assert shuffled.warnings == base.warnings
+        for name in matrices:
+            want = getattr(base, name)
+            assert np.array_equal(getattr(shuffled, name), want, equal_nan=True)
+            assert np.array_equal(getattr(permuted, name), want[np.ix_(order, order)], equal_nan=True)
 
     def test_pairwise_complete_deletion(self):
         rng = np.random.default_rng(58)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -154,6 +156,12 @@ class TestClosedForms:
             assert abs(fine - target) < abs(coarse - target) + 1e-9
             assert abs(fine - target) < 5e-3
 
+    @pytest.mark.parametrize("resolution, error", [(2.5, TypeError), (0, ValueError), (True, TypeError)])
+    def test_analytic_board_resolution_is_a_count(self, resolution, error):
+        # 2.5 built a 3 x 3 board on grid points up to 1.2, 0 divided by zero
+        with pytest.raises(error, match="resolution"):
+            analytic_checkerboard(FGM(0.5), resolution)
+
     def test_analytic_board_transpose_consistency(self):
         model = MarshallOlkin(0.3, 1.0)
         board = analytic_checkerboard(model, 256)
@@ -230,6 +238,22 @@ class TestShapes:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown shape"):
             ShapeGenerator("spiral", 100, 0.1)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, float("inf"), float("nan"), np.float64(10), True])
+    def test_size_is_a_count(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            ShapeGenerator("linear", n)
+
+    def test_numpy_integer_size_accepted(self):
+        gen = ShapeGenerator("linear", np.int64(10))
+        assert generate_shape(gen, 1).n == 10
+
+    def test_float16_noise_checked_in_float64(self):
+        # 2 * noise overflows float16, but not the float64 that uniform() draws in
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen = ShapeGenerator("linear", 10, np.float16(65504))
+            assert generate_shape(gen, 1).n == 10
 
     @pytest.mark.parametrize(
         "name", ["linear", "quadratic", "sinus", "x_cross", "torus"]
@@ -321,3 +345,26 @@ class TestConvergenceExperiment:
             gaps[n] = np.median([row.q_xy - row.q_yx for row in rows])
         assert gaps[1000] > 0.1
         assert gaps[10000] > gaps[1000]
+
+
+class TestSeedChecks:
+    """A seed that is not a SeedSequence or Generator is a count >= 0."""
+
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), (-1, ValueError), (True, TypeError)])
+    def test_sample_model_seed_checked(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            sample_model(FGM(0.5), 5, seed)
+
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), (-1, ValueError), (None, TypeError)])
+    def test_generate_shape_seed_checked(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            generate_shape(ShapeGenerator("sinus", 20, 0.1), seed)
+
+    def test_seed_forms_accepted(self):
+        gen = ShapeGenerator("torus", 30, 0.2)
+        want = generate_shape(gen, 7)
+        for seed in (np.int64(7), np.random.SeedSequence(7), np.random.default_rng(7)):
+            got = generate_shape(gen, seed)
+            assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
+        drawn = sample_model(FGM(0.5), 5, np.uint32(3))
+        assert np.array_equal(drawn.xs, sample_model(FGM(0.5), 5, 3).xs)
