@@ -144,6 +144,34 @@ class TestPairwiseQad:
                 assert pw.q[f, j] == canon.q_xy
                 assert pw.q[j, f] == canon.q_yx
 
+    def test_row_order_invariance(self):
+        table = make_table(seed=55, n=150, k=3)
+        opts = QadOptions(permutations=19, seed=3)
+        base = pairwise_qad(table, opts)
+        rng = np.random.default_rng(56)
+        perm = rng.permutation(table.n_rows)
+        shuffled = DataTable(table.names, table.values[perm])
+        other = pairwise_qad(shuffled, opts)
+        assert np.array_equal(base.q, other.q, equal_nan=True)
+        assert np.array_equal(base.p_q, other.p_q, equal_nan=True)
+        assert np.array_equal(base.p_asymmetry, other.p_asymmetry, equal_nan=True)
+
+    def test_column_order_conjugation(self):
+        table = make_table(seed=57, n=150, k=3)
+        opts = QadOptions(permutations=19, seed=5)
+        base = pairwise_qad(table, opts)
+        order = [2, 0, 1]
+        permuted = DataTable(
+            tuple(table.names[i] for i in order), table.values[:, order]
+        )
+        other = pairwise_qad(permuted, opts)
+        for a, na in enumerate(order):
+            for b, nb in enumerate(order):
+                if a == b:
+                    continue
+                assert other.q[a, b] == base.q[na, nb]
+                assert other.p_q[a, b] == base.p_q[na, nb]
+
     @settings(max_examples=15, derandomize=True, deadline=None, database=None)
     @given(st.data())
     def test_row_and_column_order_invariance(self, data):
