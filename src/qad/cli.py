@@ -20,7 +20,7 @@ from dataclasses import astuple, fields
 import numpy as np
 
 from .copula import BivariateSample
-from .errors import DataError, DegenerateInputError
+from .errors import _THRESHOLDS, DataError, DegenerateInputError, _check_range
 from .estimator import MAX_PERMUTATIONS, QadOptions, _compute_with_boards
 from .pairwise import (
     _graph,
@@ -132,14 +132,8 @@ def _cmd_compute(args) -> int:
     for w in result.warnings:
         _log(f"warning: {w}")
     if args.board_out:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "board_xy": board_xy.to_json_dict(),
-                "board_yx": board_yx.to_json_dict(),
-            },
-            args.board_out,
-        )
+        boards = {"board_xy": board_xy.to_json_dict(), "board_yx": board_yx.to_json_dict()}
+        _emit_json({"schema": SCHEMA, **boards}, args.board_out)
     payload = {"schema": SCHEMA, "x": args.x, "y": args.y}
     payload.update(result.to_dict())
     _emit_json(payload, args.out)
@@ -410,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the least positive float: a low bound of _ABOVE_0 excludes 0 and nothing else
-_ABOVE_0 = math.nextafter(0.0, 1.0)
-
 #: (flag, low, high) of every numeric flag with a valid range, bounds included
 _FLAG_RANGES = (
     ("threads", 1, math.inf),
@@ -421,9 +412,9 @@ _FLAG_RANGES = (
     ("resolution", 1, math.inf),
     ("reps", 1, math.inf),
     ("precision", 0, math.inf),
-    ("alpha", _ABOVE_0, 1),
-    ("q_threshold", 0, 1),
-    ("filter_ties", _ABOVE_0, 1),
+    ("alpha", *_THRESHOLDS["alpha"]),
+    ("q_threshold", *_THRESHOLDS["q_threshold"]),
+    ("filter_ties", *_THRESHOLDS["max_single_value_prop"]),
 )
 
 
@@ -444,22 +435,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _log(f"error: --{exc}")
         return EXIT_USAGE
-    # numeric flags are checked before any data is read; NaN fails every bound
-    for flag, low, high in _FLAG_RANGES:
-        value = getattr(args, flag, None)
-        if value is not None and not low <= value <= high:
-            left = "(0" if low == _ABOVE_0 else f"[{low}"
-            valid = f"in {left}, {high}]" if high <= 1 else f">= {low}"
-            if 1 < high < math.inf:
-                valid += f" and <= {high}"
-            _log(f"error: --{flag.replace('_', '-')} must be {valid}")
-            return EXIT_USAGE
-    if getattr(args, "command", None) == "simulate":
-        try:  # the model and shape classes check their own parameter ranges
+    # numeric flags are checked before any data is read, NaN failing every
+    # bound; the model and shape classes check their own parameter ranges
+    try:
+        for flag, low, high in _FLAG_RANGES:
+            value = getattr(args, flag, None)
+            if value is not None:
+                _check_range("--" + flag.replace("_", "-"), value, low, high)
+        if getattr(args, "command", None) == "simulate":
             args.spec = _parse_model(args)
-        except ValueError as exc:
-            _log(f"error: {exc}")
-            return EXIT_USAGE
+    except ValueError as exc:
+        _log(f"error: {exc}")
+        return EXIT_USAGE
     try:
         return args.func(args)
     except DataError as exc:

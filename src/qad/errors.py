@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks of integer counts
-and real arrays.
+"""Exception types shared across the package, and the checks of integer counts,
+real arrays and bounded parameters.
 
 The CLI maps these onto exit codes: DataError -> 3, DegenerateInputError -> 4.
 """
@@ -21,6 +21,28 @@ class ExtrapolationError(DataError):
 
 class DegenerateInputError(Exception):
     """Input is syntactically fine but numerically degenerate (e.g. n < 2)."""
+
+
+#: the least positive float: a low bound of _ABOVE_0 excludes 0 and nothing else
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+
+#: (low, high) of the library's threshold parameters, bounds included; the
+#: CLI's --alpha, --q-threshold and --filter-ties take the same ranges
+_THRESHOLDS = {
+    "alpha": (_ABOVE_0, 1),
+    "q_threshold": (0, 1),
+    "max_single_value_prop": (_ABOVE_0, 1),
+}
+
+
+def _check_range(name: str, value, low, high=math.inf):
+    """ValueError naming ``name`` unless low <= value <= high, which NaN fails."""
+    if not low <= value <= high:
+        left = "(0" if low == _ABOVE_0 else f"[{low}"
+        valid = f"in {left}, {high}]" if high <= 1 else f">= {low}"
+        if 1 < high < math.inf:
+            valid += f" and <= {high}"
+        raise ValueError(f"{name} must be {valid}")
 
 
 def _check_count(name: str, value, low=1, high=math.inf) -> int:

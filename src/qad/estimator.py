@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .copula import (
+    _AS_IS,
     BivariateSample,
     _boards_from_ranks,
     _fit_boards,
@@ -139,7 +140,8 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
     For tie-free data this is floor(sqrt(n)).  Constant margins give N = 1.
     """
     _check_count("n", n)
-    return max(1, math.isqrt(min(n_unique_x, n_unique_y)))
+    smaller = min(_check_count("n_unique_x", n_unique_x), _check_count("n_unique_y", n_unique_y))
+    return max(1, math.isqrt(smaller))
 
 
 def _prepare(sample, resolution=None):
@@ -223,15 +225,15 @@ def _observed_pairs(pobs, resolution):
     """(q_xy, q_yx) of the sample as the permutation statistics score it.
 
     The replicates build their boards from per-element masses, so the
-    observed statistic does too; the reported q uses the distinct-pair masses
-    of ``_fit_boards``.  With ties in both margins the two agree to rounding
-    but not always bitwise.  With a tie-free margin every pair is distinct,
-    the empirical copula is the sample itself with masses 1/n, and
+    observed statistic does too: it is the dependence null's board of the
+    unpermuted sample.  The reported q uses the distinct-pair masses of
+    ``_fit_boards``; with ties in both margins the two agree to rounding but
+    not always bitwise.  With a tie-free margin every pair is distinct, the
+    empirical copula is the sample itself with masses 1/n, and
     ``_fit_boards``'s board_xy is this board bit for bit, so ``qad_compute``
     scores that board instead of calling this.
     """
-    ranks = (pobs.ranks_u, pobs.ties_u, pobs.ranks_v, pobs.ties_v)
-    return _q_pairs(_boards_from_ranks(*(a[None] for a in ranks), pobs.n, resolution))[0]
+    return _q_pairs(_permuted_boards(pobs, resolution)(_AS_IS))[0]
 
 
 def _null(pobs, N, B, seed, stream, draw, boards):

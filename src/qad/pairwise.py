@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .copula import BivariateSample, _max_ranks
-from .errors import DataError, _check_count
+from .errors import _THRESHOLDS, DataError, _check_count, _check_range
 from .estimator import QadOptions, qad_compute
 from .tables import DataTable
 
@@ -60,7 +60,10 @@ def filter_columns(
     Columns with no observed values are dropped as well; ``min_unique_prop``
     optionally drops columns whose share of distinct values is too small.
     Returns the filtered table and a report of dropped columns.
+    ``max_single_value_prop`` must lie in (0, 1], the range of ``--filter-ties``.
     """
+    bounds = _THRESHOLDS["max_single_value_prop"]
+    _check_range("max_single_value_prop", max_single_value_prop, *bounds)
     keep, dropped = [], []
     n_rows = table.n_rows
     for idx, name in enumerate(table.names):
@@ -140,12 +143,7 @@ def pairwise_qad(
     k = table.n_columns
     if k < 2:
         raise DataError("need at least 2 columns")
-    shape = (k, k)
-    q = np.full(shape, np.nan)
-    p_q = np.full(shape, np.nan)
-    asym = np.full(shape, np.nan)
-    p_asym = np.full(shape, np.nan)
-    n_used = np.full(shape, np.nan)
+    q, p_q, asym, p_asym, n_used = (np.full((k, k), np.nan) for _ in range(5))
     warnings = []
 
     for f, j in itertools.combinations(range(k), 2):
@@ -237,12 +235,7 @@ def influence_summary(pw: PairwiseResult, method: str = "sign") -> InfluenceSumm
         raise ValueError("method must be 'sign' or 'signrank'")
     test = _sign_test_greater if method == "sign" else _signrank_greater
     k = pw.k
-    med = np.full(k, np.nan)
-    q25 = np.full(k, np.nan)
-    q75 = np.full(k, np.nan)
-    given = np.full(k, np.nan)
-    received = np.full(k, np.nan)
-    p_pos = np.full(k, np.nan)
+    med, q25, q75, given, received, p_pos = (np.full(k, np.nan) for _ in range(6))
     for f in range(k):
         influences = np.delete(pw.asymmetry[f], f)
         influences = influences[~np.isnan(influences)]
@@ -318,7 +311,11 @@ def build_network(
     Node metrics: degree = in+out edge count, betweenness over shortest paths
     with edge length 1/weight, hub score from the principal eigenvector of
     the weighted adjacency product A A^T (power iteration, max-normalized).
+    ``q_threshold`` must lie in [0, 1] and ``alpha`` in (0, 1], as the CLI's
+    flags do.
     """
+    for name, value in (("q_threshold", q_threshold), ("alpha", alpha)):
+        _check_range(name, value, *_THRESHOLDS[name])
     if not pw.has_p_values():
         raise DataError("network construction needs p-values; run with permutations")
     import networkx as nx

@@ -280,7 +280,7 @@ def generate_shape(gen: ShapeGenerator, seed) -> BivariateSample:
         ) + noise(n)
     elif gen.shape == "two_rotated_lines":
         x0 = rng.uniform(0.0, 1.0, n)
-        y0 = rng.uniform(-a, a, n) if a > 0 else np.zeros(n)
+        y0 = noise(n)
         steep = rng.integers(0, 2, n).astype(bool)
         phi = np.where(steep, np.pi / 4.0, np.pi / 20.0)
         x = x0 * np.cos(phi) - y0 * np.sin(phi)
@@ -372,16 +372,8 @@ def convergence_experiment(
 
     def one(si, n, rep):
         result = qad_compute(_replicate_sample(model, n, seed, si, rep), QadOptions())
-        return ExperimentRow(
-            model=model.label,
-            params=model.params(),
-            n=n,
-            replicate=rep,
-            q_xy=result.q_xy,
-            q_yx=result.q_yx,
-            ref_xy=ref_xy,
-            ref_yx=ref_yx,
-        )
+        q = (result.q_xy, result.q_yx)
+        return ExperimentRow(model.label, model.params(), n, rep, *q, ref_xy, ref_yx)
 
     rows = (one(si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates))
     return ExperimentResult(tuple(rows))

@@ -172,6 +172,13 @@ def margin_masses(ecop, axis):
     return out
 
 
+def _dense(pobs, resolution):
+    """Whether a fit at resolution N is dense: some tie rectangle, t/n wide, is
+    wider than a strip, 1/N, so that ``copula._boards`` takes the dgemm or the
+    tie-group product rather than the two-strip bincount."""
+    return max(int(pobs.ties_u.max()), int(pobs.ties_v.max())) * resolution > pobs.n
+
+
 # Reference kernels: the two-strip aggregation and the zeta1 cell integral as
 # they were before the library skipped their exactly-zero work.  They evaluate
 # every entry and both branches everywhere; the library must equal them bit

@@ -28,15 +28,22 @@ from qad import (
     DegenerateInputError,
     QadOptions,
     ShapeGenerator,
+    build_network,
     conditional_cdf,
     ecop_cdf,
     empirical_copula,
+    filter_columns,
     generate_shape,
     pairwise_qad,
+    predict,
+    prediction_table,
     pseudo_observations,
     qad_compute,
+    resolution_rule,
+    zeta1,
 )
 from qad.estimator import MAX_PERMUTATIONS
+from qad.pairwise import PairwiseResult
 
 FUZZ = settings(
     max_examples=25,
@@ -312,3 +319,39 @@ def test_every_form_of_valid_values(form):
         assert refused == [True, False, True, True]
     else:
         assert not any(refused)
+
+
+def _network_input():
+    q = np.array([[np.nan, 0.5], [0.2, np.nan]])
+    p = np.array([[np.nan, 0.01], [0.5, np.nan]])
+    return PairwiseResult(("a", "b"), q, p, q - q.T, p, np.full((2, 2), 50.0), 99)
+
+
+def _prediction_input():
+    x = np.linspace(0.0, 1.0, 40)
+    return prediction_table(BivariateSample(x, x**2))
+
+
+@pytest.mark.parametrize(
+    "probe, error",
+    [
+        pytest.param(lambda: filter_columns(DataTable(["a"], np.ones((4, 1))), float("nan")),
+                     ValueError, id="filter_columns-nan"),
+        pytest.param(lambda: build_network(_network_input(), q_threshold=float("nan")),
+                     ValueError, id="build_network-q_threshold-nan"),
+        pytest.param(lambda: build_network(_network_input(), alpha=2), ValueError,
+                     id="build_network-alpha-2"),
+        pytest.param(lambda: zeta1(np.array([0.5, 0.5])), ValueError, id="zeta1-1d"),
+        pytest.param(lambda: zeta1(np.array([[0.5, np.nan], [0.0, 0.5]])), ValueError,
+                     id="zeta1-nan"),
+        pytest.param(lambda: resolution_rule(5, float("nan"), 3), TypeError,
+                     id="resolution_rule-nan"),
+        pytest.param(lambda: predict(_prediction_input(), 1 + 1j), TypeError, id="predict-complex"),
+    ],
+)
+def test_probes_raise_qads_own_errors(probe, error):
+    """Thresholds out of the CLI's ranges, non-square or non-finite boards, a
+    non-integer unique count and a complex prediction point: each is refused by
+    a ``raise`` in qad's source, with warnings as errors."""
+    _, err = _call(probe)
+    assert type(err) is error, err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from qad import (
     BivariateSample,
     CheckerboardCopula,
+    copula,
     checkerboard_aggregate,
     conditional_cdf,
     d1,
@@ -33,6 +36,7 @@ from qad.copula import (
     _two_strip_split,
     _weights,
 )
+from qad.estimator import _observed_pairs
 
 from helpers import (
     ecop_rect_tuples,
@@ -419,6 +423,70 @@ class TestFitBoards:
             pobs = pseudo_observations(sample)
             assert pobs.n_unique_u == np.unique(sample.xs).size
             assert pobs.n_unique_v == np.unique(sample.ys).size
+
+
+def _blas_one_thread(N, m):
+    """Whether an (N x m)(m x N) product stays at or below OpenBLAS's threading
+    threshold (65536 * 4 multiply-adds): below it every BLAS thread count sums
+    alike, so the board pins hold in any environment."""
+    return N * N * m <= 1 << 18
+
+
+def _pin_samples():
+    """(sample, extra resolutions): tie-free, rounded, zero-inflated, integer
+    and constant-margin samples, and one 600-row zero-inflated sample whose
+    override of 150 sends its dense boards past ``DGEMM_MAX_CELLS``."""
+    rng = np.random.default_rng(211)
+    for n in (2, 9, 60, 150):
+        xs, noise = rng.normal(size=n), rng.normal(size=n)
+        yield BivariateSample(xs, xs + noise), ()
+        yield BivariateSample(np.round(xs, 1), np.round(noise, 1)), ()
+        yield BivariateSample(np.where(rng.random(n) < 0.4, 0.0, xs), noise), ()
+        yield BivariateSample(rng.integers(0, 5, n), rng.integers(0, 8, n)), ()
+        yield BivariateSample(np.where(rng.random(n) < 0.3, 2.5, xs), np.full(n, 1.0)), ()
+    xs = rng.random(600)
+    zeros = np.where(rng.random(600) < 0.4, 0.0, xs)
+    yield BivariateSample(zeros, xs + rng.normal(0.0, 0.2, 600)), (150,)
+
+
+class TestBoardPins:
+    """SHA-256 of the fitted boards, the observed permutation statistics and
+    ``checkerboard_aggregate`` of both source types, recorded before these
+    paths shared one preparation of the margins.  The fit-versus-aggregate
+    equality tests compare two paths that changed together; these pins hold
+    each one to its old floats."""
+
+    PINS = {
+        "fit": "73d8bab00d380e755925215b191ce373a134f981802c89ac75c37e5523b0a7a9",
+        "observed": "0abf6f086387e2acda90806abee5af0778ed90cd31b503142234a31c7c75a2fd",
+        "empirical_source": "7b555807bd91634a1fd833b9537e5c44038d82ba041049a5bf8666a3c0e18f1f",
+        "checkerboard_source": "76486b62b8619cc08715c8101f6124f6c578bb4bb396dbb76f293abaca522fbd",
+    }
+
+    def test_boards_match_their_pins(self, monkeypatch):
+        ran = set()
+        for name in ("_two_strip_boards", "_weights", "_group_board"):
+            original = getattr(copula, name)
+            monkeypatch.setattr(copula, name, lambda *a, f=original, k=name: ran.add(k) or f(*a))
+        digests = {name: hashlib.sha256() for name in self.PINS}
+        for sample, extra in _pin_samples():
+            pobs, n = pseudo_observations(sample), sample.n
+            rule = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
+            ecop = empirical_copula(pobs)
+            overrides = sorted({1, rule, max(1, n // 3), 2 * n + 1})
+            for N in [N for N in overrides if _blas_one_thread(N, n)] + list(extra):
+                boards = _fit_boards(pobs, N)
+                digests["fit"].update(b"".join(b.mass.tobytes() for b in boards))
+                digests["observed"].update(_observed_pairs(pobs, N).tobytes())
+                digests["empirical_source"].update(checkerboard_aggregate(ecop, N).mass.tobytes())
+                if N != rule:
+                    continue
+                for target in sorted({1, 3, N, 2 * N + 1}):
+                    if _blas_one_thread(target, N * N):
+                        mass = checkerboard_aggregate(boards[0], target).mass
+                        digests["checkerboard_source"].update(mass.tobytes())
+        assert ran == {"_two_strip_boards", "_weights", "_group_board"}
+        assert {name: d.hexdigest() for name, d in digests.items()} == self.PINS
 
 
 def _same_bits(a, b):

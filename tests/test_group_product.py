@@ -19,13 +19,14 @@ from qad.copula import (
     MASS_TOL,
     CheckerboardCopula,
     _boards_from_ranks,
-    _dense,
     _fit_boards,
     _permuted_boards,
     checkerboard_aggregate,
     pseudo_observations,
 )
 from qad.estimator import _asymmetry_null, _dependence_null, _observed_pairs, _prepare
+
+from helpers import _dense
 
 GROUP, DGEMM = 0, 1 << 62
 

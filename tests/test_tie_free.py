@@ -17,10 +17,10 @@ import qad.copula
 from qad import BivariateSample, QadOptions, empirical_copula, ingest_csv, pseudo_observations
 from qad import qad_compute
 from qad import permutation_test_dependence
-from qad.copula import _dense, _fit_boards, _max_ranks
+from qad.copula import _fit_boards, _max_ranks
 from qad.estimator import _observed_pairs, _prepare, _q_pairs
 
-from helpers import dedup_empirical_copula, unique_max_ranks
+from helpers import _dense, dedup_empirical_copula, unique_max_ranks
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 2.5, 1e-300, -1e300]
 
