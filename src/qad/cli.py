@@ -23,6 +23,7 @@ from .copula import BivariateSample
 from .errors import _THRESHOLDS, DataError, DegenerateInputError, _check_range
 from .estimator import MAX_PERMUTATIONS, QadOptions, _compute_with_boards
 from .pairwise import (
+    _complete_rows,
     _graph,
     baseline_correlations,
     build_network,
@@ -83,10 +84,11 @@ def _emit_lines(lines, out_path):
 
 
 def _emit_json(obj: dict, out_path):
-    _emit_lines([json.dumps(obj, indent=2)], out_path)
+    """``obj`` under the top-level schema field, as indented JSON."""
+    _emit_lines([json.dumps({"schema": SCHEMA, **obj}, indent=2)], out_path)
 
 
-def _emit_csv(header: str, rows, out_path, precision: int):
+def _emit_csv(header: str, rows, out_path, precision: int = 6):
     """The header line, then one CSV line per row; every cell goes through ``_fmt``."""
     lines = [header]
     lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
@@ -104,15 +106,12 @@ def _read_table(args):
 def _load_pair(args):
     """The complete rows of columns ``args.x`` and ``args.y`` as a sample."""
     table = _read_table(args)
-    xs = table.column(args.x)
-    ys = table.column(args.y)
-    complete = ~(np.isnan(xs) | np.isnan(ys))
-    n_dropped = int((~complete).sum())
-    if n_dropped:
-        _log(f"dropped {n_dropped} row(s) with missing values")
-    if complete.sum() < 2:
+    xs, ys = _complete_rows(table.column(args.x), table.column(args.y))
+    if xs.size < table.n_rows:
+        _log(f"dropped {table.n_rows - xs.size} row(s) with missing values")
+    if xs.size < 2:
         raise DegenerateInputError("fewer than 2 complete rows")
-    return BivariateSample(xs[complete], ys[complete])
+    return BivariateSample(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +132,8 @@ def _cmd_compute(args) -> int:
         _log(f"warning: {w}")
     if args.board_out:
         boards = {"board_xy": board_xy.to_json_dict(), "board_yx": board_yx.to_json_dict()}
-        _emit_json({"schema": SCHEMA, **boards}, args.board_out)
-    payload = {"schema": SCHEMA, "x": args.x, "y": args.y}
-    payload.update(result.to_dict())
-    _emit_json(payload, args.out)
+        _emit_json(boards, args.board_out)
+    _emit_json({"x": args.x, "y": args.y, **result.to_dict()}, args.out)
     return EXIT_OK
 
 
@@ -183,7 +180,6 @@ def _cmd_pairwise(args) -> int:
     _emit_csv("var1,var2,q,p_q,a,p_a,n_used", rows, path, args.precision)
 
     bundle = {
-        "schema": SCHEMA,
         "variables": list(pw.variables),
         "q": _matrix_json(pw.q),
         "p_q": _matrix_json(pw.p_q),
@@ -198,7 +194,6 @@ def _cmd_pairwise(args) -> int:
     _emit_json(bundle, os.path.join(args.out, "heatmap.json"))
 
     report_obj = {
-        "schema": SCHEMA,
         "filtered": filter_report is not None,
         "dropped": [
             {"column": name, "single_value_proportion": prop}
@@ -213,19 +208,19 @@ def _cmd_pairwise(args) -> int:
 def _cmd_predict(args) -> int:
     sample = _load_pair(args)
     table = prediction_table(sample, direction=args.direction)
-    if args.table_out:
-        if args.table_out.endswith(".json"):
-            _emit_json({"schema": SCHEMA, **table.to_json_dict()}, args.table_out)
-        else:
-            _emit_lines(table.to_csv_lines(), args.table_out)
     breaks = table.conditioning_breaks
+    if args.table_out and args.table_out.endswith(".json"):
+        _emit_json(table.to_json_dict(), args.table_out)
+    elif args.table_out:
+        # one row per conditioning strip: its bounds, then its probabilities
+        header = ",".join(["cond_low", "cond_high"] + [f"p{j}" for j in range(1, len(breaks))])
+        _emit_csv(header, zip(breaks[:-1], breaks[1:], *table.cond.T), args.table_out)
     strip = locate_strip(breaks, args.at)
     intervals = [
         {"low": lo, "high": hi, "probability": p}
         for lo, hi, p in table.merged_row(strip)
     ]
     payload = {
-        "schema": SCHEMA,
         "direction": args.direction,
         "at": args.at,
         "strip": strip + 1,
@@ -270,21 +265,7 @@ def _cmd_network(args) -> int:
     return EXIT_OK
 
 
-def _parse_model(args):
-    """The simulate command's copula model or shape generator."""
-    if args.model == "mo":
-        return MarshallOlkin(args.mo_alpha, args.beta)
-    if args.model == "fgm":
-        return FGM(args.theta)
-    if args.model == "cd":
-        return CompletelyDependent(args.slope)
-    if args.model == "shape":
-        return ShapeGenerator(shape=args.name, n=args.n[0], noise=args.noise)
-    return Independence()
-
-
 def _cmd_simulate(args) -> int:
-    prec = args.precision
     if args.model == "shape":
         sample = generate_shape(args.spec, args.seed)
     elif args.reps == 1 and len(args.n) == 1:
@@ -293,9 +274,9 @@ def _cmd_simulate(args) -> int:
     else:
         result = convergence_experiment(args.spec, args.n, args.reps, args.seed, args.threads)
         header = ",".join(f.name for f in fields(ExperimentRow))
-        _emit_csv(header, map(astuple, result.rows), args.out, prec)
+        _emit_csv(header, map(astuple, result.rows), args.out, args.precision)
         return EXIT_OK
-    _emit_csv("x,y", zip(sample.xs.tolist(), sample.ys.tolist()), args.out, prec)
+    _emit_csv("x,y", zip(sample.xs.tolist(), sample.ys.tolist()), args.out, args.precision)
     return EXIT_OK
 
 
@@ -338,6 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     ties = argparse.ArgumentParser(add_help=False)
     ties.add_argument("--filter-ties", type=float, default=None, metavar="P",
                       help="drop columns whose top value share is >= P")
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("-n", type=_sizes, required=True,
+                       help="sample size, or comma-separated sizes for experiments")
+    sized.add_argument("--out", default=None)
+    repeated = argparse.ArgumentParser(add_help=False)
+    repeated.add_argument("--reps", type=int, default=1)
 
     p = sub.add_parser("compute", parents=[source, pair, seeded], help="dependence of one column pair")
     p.add_argument("--permutations", type=int, default=0)
@@ -373,32 +360,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="samples and convergence experiments")
     model_sub = p.add_subparsers(dest="model", required=True)
 
-    def common_sim(sp, with_reps=True):
-        sp.add_argument("-n", type=_sizes, required=True,
-                        help="sample size, or comma-separated sizes for experiments")
-        if with_reps:
-            sp.add_argument("--reps", type=int, default=1)
-        sp.add_argument("--out", default=None)
-
-    simulated = [seeded, precise]
+    # each model builds its copula, or shape generator, from its own flags
+    simulated = [seeded, precise, sized, repeated]
     sp = model_sub.add_parser("mo", parents=simulated, help="Marshall-Olkin copula")
     # not "alpha": network's --alpha, a significance level, is range-checked
     sp.add_argument("--alpha", dest="mo_alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
-    common_sim(sp)
+    sp.set_defaults(model_of=lambda a: MarshallOlkin(a.mo_alpha, a.beta))
     sp = model_sub.add_parser("fgm", parents=simulated, help="Farlie-Gumbel-Morgenstern copula")
     sp.add_argument("--theta", type=float, required=True)
-    common_sim(sp)
+    sp.set_defaults(model_of=lambda a: FGM(a.theta))
     sp = model_sub.add_parser("cd", parents=simulated, help="completely dependent copula y = a*x mod 1")
     sp.add_argument("--slope", type=int, required=True)
-    common_sim(sp)
+    sp.set_defaults(model_of=lambda a: CompletelyDependent(a.slope))
     sp = model_sub.add_parser("independence", parents=simulated, help="independent uniforms")
-    common_sim(sp)
-    sp = model_sub.add_parser("shape", parents=simulated, help="benchmark dependence shapes")
+    sp.set_defaults(model_of=lambda a: Independence())
+    sp = model_sub.add_parser("shape", parents=[seeded, precise, sized],
+                              help="benchmark dependence shapes")
     sp.add_argument("name", choices=SHAPE_NAMES)
     sp.add_argument("-a", "--noise", type=float, default=0.0)
-    common_sim(sp, with_reps=False)
-    sp.set_defaults(reps=1)
+    sp.set_defaults(reps=1, model_of=lambda a: ShapeGenerator(a.name, a.n[0], a.noise))
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -424,26 +405,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "network" and args.permutations < 1:
-        _log("error: the network command requires --permutations > 0")
-        return EXIT_USAGE
-    if getattr(args, "model", None) == "shape" and len(args.n) > 1:
-        _log("error: simulate shape draws one sample: give one size to -n")
-        return EXIT_USAGE
+    # usage checks run before any data is read: command rules, the delimiter,
+    # the numeric flags (NaN failing every bound), then the model classes,
+    # which check their own parameter ranges
     try:
-        _check_delimiter(getattr(args, "delimiter", None))
-    except ValueError as exc:
-        _log(f"error: --{exc}")
-        return EXIT_USAGE
-    # numeric flags are checked before any data is read, NaN failing every
-    # bound; the model and shape classes check their own parameter ranges
-    try:
+        if args.command == "network" and args.permutations < 1:
+            raise ValueError("the network command requires --permutations > 0")
+        if getattr(args, "model", None) == "shape" and len(args.n) > 1:
+            raise ValueError("simulate shape draws one sample: give one size to -n")
+        _check_delimiter(getattr(args, "delimiter", None), "--delimiter")
         for flag, low, high in _FLAG_RANGES:
             value = getattr(args, flag, None)
             if value is not None:
                 _check_range("--" + flag.replace("_", "-"), value, low, high)
-        if getattr(args, "command", None) == "simulate":
-            args.spec = _parse_model(args)
+        if args.command == "simulate":
+            args.spec = args.model_of(args)
     except ValueError as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE

@@ -32,11 +32,14 @@ _THRESHOLDS = {
     "alpha": (_ABOVE_0, 1),
     "q_threshold": (0, 1),
     "max_single_value_prop": (_ABOVE_0, 1),
+    "min_unique_prop": (0, 1),
 }
 
 
 def _check_range(name: str, value, low, high=math.inf):
-    """ValueError naming ``name`` unless low <= value <= high, which NaN fails."""
+    """TypeError naming ``name`` if ``value`` is complex, ValueError unless
+    low <= value <= high, which NaN fails."""
+    _check_real(name, value)
     if not low <= value <= high:
         left = "(0" if low == _ABOVE_0 else f"[{low}"
         valid = f"in {left}, {high}]" if high <= 1 else f">= {low}"
@@ -55,9 +58,13 @@ def _check_count(name: str, value, low=1, high=math.inf) -> int:
     return int(value)
 
 
-def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; TypeError if complex, since a float cast
-    would drop the imaginary part."""
+def _check_real(name: str, values):
+    """TypeError if ``values`` is complex: a float cast would drop its imaginary part."""
     if np.iscomplexobj(values):
         raise TypeError(f"{name} must be real, not complex")
+
+
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; TypeError if complex."""
+    _check_real(name, values)
     return np.asarray(values, dtype=float)

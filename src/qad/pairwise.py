@@ -60,10 +60,13 @@ def filter_columns(
     Columns with no observed values are dropped as well; ``min_unique_prop``
     optionally drops columns whose share of distinct values is too small.
     Returns the filtered table and a report of dropped columns.
-    ``max_single_value_prop`` must lie in (0, 1], the range of ``--filter-ties``.
+    ``max_single_value_prop`` must lie in (0, 1], the range of ``--filter-ties``,
+    and ``min_unique_prop``, if given, in [0, 1].
     """
-    bounds = _THRESHOLDS["max_single_value_prop"]
-    _check_range("max_single_value_prop", max_single_value_prop, *bounds)
+    for name, value in (("max_single_value_prop", max_single_value_prop),
+                        ("min_unique_prop", min_unique_prop)):
+        if value is not None:
+            _check_range(name, value, *_THRESHOLDS[name])
     keep, dropped = [], []
     n_rows = table.n_rows
     for idx, name in enumerate(table.names):
@@ -121,6 +124,12 @@ def _pair_seed(seed: int, name_a: str, name_b: str) -> int:
     return (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
 
 
+def _complete_rows(xs: np.ndarray, ys: np.ndarray):
+    """The rows of a column pair that count: those with neither value missing."""
+    complete = ~(np.isnan(xs) | np.isnan(ys))
+    return xs[complete], ys[complete]
+
+
 def _canonical_pair(xs: np.ndarray, ys: np.ndarray) -> BivariateSample:
     # sort rows lexicographically so results ignore the table's row order
     order = np.lexsort((ys, xs))
@@ -151,14 +160,12 @@ def pairwise_qad(
         # the table's column or row arrangement, including p-values
         if table.names[j] < table.names[f]:
             f, j = j, f
-        cols = table.values[:, (f, j)]
-        complete = ~np.isnan(cols).any(axis=1)
-        xs, ys = cols[complete, 0], cols[complete, 1]
+        xs, ys = _complete_rows(table.values[:, f], table.values[:, j])
         n_used[f, j] = n_used[j, f] = xs.size
         skip = None
         if xs.size < 2:
             skip = "fewer than 2 complete rows"
-        elif np.isinf(cols[complete]).any():
+        elif np.isinf(xs).any() or np.isinf(ys).any():
             skip = "non-finite values"
         if skip:
             warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {skip}")
@@ -380,11 +387,10 @@ def baseline_correlations(table: DataTable) -> Correlations:
     rho = np.full((k, k), np.nan)
     for f in range(k):
         for j in range(f + 1, k):
-            cols = table.values[:, (f, j)]
-            cols = cols[~np.isnan(cols).any(axis=1)]
-            if len(cols) < 2 or not np.isfinite(cols).all() or np.ptp(cols, axis=0).min() == 0:
+            xs, ys = _complete_rows(table.values[:, f], table.values[:, j])
+            cols = np.stack((xs, ys))
+            if xs.size < 2 or not np.isfinite(cols).all() or np.ptp(cols, axis=1).min() == 0:
                 continue
-            xs, ys = cols[:, 0], cols[:, 1]
             r[f, j] = r[j, f] = _pearson(xs, ys)
             rho[f, j] = rho[j, f] = _pearson(_average_ranks(xs), _average_ranks(ys))
     return Correlations(table.names, r, r * r, rho)

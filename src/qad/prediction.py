@@ -67,21 +67,6 @@ class PredictionTable:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
-    def to_csv_lines(self, precision: int = 6):
-        """Rows = conditioning intervals (endpoint columns first), then the
-        probability column per predicted strip."""
-        n = self.resolution
-        cond_breaks = self.conditioning_breaks
-        header = ["cond_low", "cond_high"] + [f"p{j + 1}" for j in range(n)]
-        lines = [",".join(header)]
-        for i in range(n):
-            cells = [
-                f"{cond_breaks[i]:.{precision}g}",
-                f"{cond_breaks[i + 1]:.{precision}g}",
-            ] + [f"{p:.{precision}g}" for p in self.cond[i]]
-            lines.append(",".join(cells))
-        return lines
-
 
 def _quantile_breaks(values: np.ndarray, resolution: int) -> np.ndarray:
     """Empirical quantiles at levels j/N using the ceiling order-statistic rule."""

@@ -94,10 +94,10 @@ def _content_lines(fh, starts):
             yield line
 
 
-def _check_delimiter(delimiter):
+def _check_delimiter(delimiter, name="delimiter"):
     """A delimiter is None (sniffed) or one character that can split a line."""
     if delimiter is not None and (len(delimiter) != 1 or delimiter in "\r\n"):
-        raise ValueError(f"delimiter must be one character, not a line break: {delimiter!r}")
+        raise ValueError(f"{name} must be one character, not a line break: {delimiter!r}")
 
 
 def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):

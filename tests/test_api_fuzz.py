@@ -355,3 +355,35 @@ def test_probes_raise_qads_own_errors(probe, error):
     a ``raise`` in qad's source, with warnings as errors."""
     _, err = _call(probe)
     assert type(err) is error, err
+
+
+def _tied_columns():
+    return DataTable(["a", "b"], np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 3.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize(
+    "probe, error, name",
+    [
+        pytest.param(lambda: filter_columns(_tied_columns(), 0.9, min_unique_prop=float("nan")),
+                     ValueError, "min_unique_prop", id="min_unique_prop-nan"),
+        pytest.param(lambda: filter_columns(_tied_columns(), 0.9, min_unique_prop=-3),
+                     ValueError, "min_unique_prop", id="min_unique_prop-negative"),
+        pytest.param(lambda: filter_columns(_tied_columns(), 0.9, min_unique_prop=2.0),
+                     ValueError, "min_unique_prop", id="min_unique_prop-2"),
+        pytest.param(lambda: filter_columns(_tied_columns(), 0.9, min_unique_prop=1j),
+                     TypeError, "min_unique_prop", id="min_unique_prop-complex"),
+        pytest.param(lambda: filter_columns(_tied_columns(), 1j), TypeError,
+                     "max_single_value_prop", id="max_single_value_prop-complex"),
+        pytest.param(lambda: build_network(_network_input(), alpha=1j), TypeError, "alpha",
+                     id="build_network-alpha-complex"),
+        pytest.param(lambda: build_network(_network_input(), q_threshold=1j), TypeError,
+                     "q_threshold", id="build_network-q_threshold-complex"),
+    ],
+)
+def test_threshold_probes_name_the_parameter(probe, error, name):
+    """A NaN, negative or above-1 ``min_unique_prop`` and a complex threshold are
+    refused by a ``raise`` in qad's source, with warnings as errors, and the
+    message names the parameter."""
+    _, err = _call(probe)
+    assert type(err) is error, err
+    assert str(err).startswith(f"{name} must be"), err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -612,3 +613,125 @@ class TestSimulateCommand:
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "fgm", "-n", "10")
         assert code == 2  # missing required --theta
+
+
+def _tied_table(path):
+    """60 rows of small integers and decimals, built without randomness: every
+    column has ties, ``d`` is 40 % zeros, and ``b`` and ``c`` have missing cells."""
+    lines = ["a,b,c,d,e"]
+    for i in range(60):
+        a = (i * 7) % 13
+        b = "" if i % 9 == 4 else str(a // 2 + (i * 5) % 4)
+        c = "NA" if i % 11 == 3 else str((i * i) % 17)
+        d = "0" if i % 5 < 2 else str((i * 3) % 8 + 1)
+        e = f"{(i * 0.37) % 2:.3f}"
+        lines.append(f"{a},{b},{c},{d},{e}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestOutputPins:
+    """SHA-256 of each case's exit code, stdout, stderr and written files.
+
+    ``test_cli.py``'s other tests and the benchmark's references compare parsed
+    values, so a writer that reformats a float or reorders a key passes them;
+    these pins do not.  ``network.graphml`` is left out: its bytes belong to
+    networkx.  Paths in stdout and stderr are normalised.
+    """
+
+    CASES = {
+        "compute-wdi-board": ["compute", WDI, "--x", "birth", "--y", "death", "--permutations",
+                              "19", "--board-out", "{out}/board.json", "--out", "{out}/c.json"],
+        "compute-wdi-resolution": ["compute", WDI, "--x", "gdp", "--y", "birth",
+                                   "--resolution", "7"],
+        "compute-tied-board": ["compute", "{tied}", "--x", "a", "--y", "b", "--permutations",
+                               "19", "--board-out", "{out}/board.json"],
+        "compute-tied-dense": ["compute", "{tied}", "--x", "d", "--y", "c", "--permutations", "9"],
+        "predict-wdi-csv": ["predict", WDI, "--x", "birth", "--y", "gdp", "--at", "30",
+                            "--table-out", "{out}/t.csv"],
+        "predict-wdi-json-yx": ["predict", WDI, "--x", "birth", "--y", "gdp", "--at", "5000",
+                                "--direction", "yx", "--table-out", "{out}/t.json"],
+        "predict-tied-csv": ["predict", "{tied}", "--x", "a", "--y", "b", "--at", "6",
+                             "--table-out", "{out}/t.csv", "--out", "{out}/p.json"],
+        "predict-tied-json-yx": ["predict", "{tied}", "--x", "e", "--y", "d", "--at", "3",
+                                 "--direction", "yx", "--table-out", "{out}/t.json"],
+        "pairwise-wdi": ["pairwise", WDI, "--permutations", "9", "--out", "{out}/pw"],
+        "pairwise-tied-precision": ["pairwise", "{tied}", "--permutations", "9",
+                                    "--precision", "4", "--out", "{out}/pw"],
+        "pairwise-tied-filter": ["pairwise", "{tied}", "--filter-ties", "0.3",
+                                 "--out", "{out}/pw"],
+        "network-wdi": ["network", WDI, "--permutations", "19", "--q-threshold", "0.3",
+                        "--out", "{out}/net"],
+        "network-tied-signrank": ["network", "{tied}", "--permutations", "19", "--q-threshold",
+                                  "0.1", "--alpha", "0.5", "--influence-test", "signrank",
+                                  "--precision", "4", "--out", "{out}/net"],
+        "simulate-fgm-sample": ["simulate", "fgm", "--theta", "0.5", "-n", "50", "--seed", "1"],
+        "simulate-mo-experiment": ["simulate", "mo", "--alpha", "0.5", "--beta", "0.3",
+                                   "-n", "50,100", "--reps", "3", "--out", "{out}/mo.csv"],
+        "simulate-cd-precision": ["simulate", "cd", "--slope", "3", "-n", "40,80", "--reps", "2",
+                                  "--precision", "4"],
+        "simulate-independence": ["simulate", "independence", "-n", "20", "--seed", "2",
+                                  "--out", "{out}/s.csv"],
+        "simulate-shape": ["simulate", "shape", "quadratic", "-a", "0.05", "-n", "30",
+                           "--seed", "3", "--precision", "4"],
+        "error-network-permutations": ["network", "{tied}", "--permutations", "0",
+                                       "--out", "{out}/net"],
+        "error-shape-sizes": ["simulate", "shape", "linear", "-n", "10,20"],
+        "error-delimiter": ["compute", "{tied}", "--x", "a", "--y", "b", "--delimiter", ";;"],
+        "error-alpha-range": ["network", "{tied}", "--permutations", "9", "--alpha", "7",
+                              "--out", "{out}/net"],
+        "error-fgm-theta": ["simulate", "fgm", "--theta", "5", "-n", "10"],
+        "error-unknown-column": ["compute", "{tied}", "--x", "a", "--y", "zz"],
+        "error-extrapolation": ["predict", WDI, "--x", "birth", "--y", "death", "--at", "1000"],
+        "error-resolution": ["compute", WDI, "--x", "birth", "--y", "death",
+                             "--resolution", "100000"],
+    }
+
+    # recorded at the commit before the writers were rerouted
+    PINS = {
+        "compute-tied-board": "2eea8551c8c55591ed799cbff993162d333fdca639157d2365f0f825a594f7d7",
+        "compute-tied-dense": "7a2142e185c67fda6c7b59f3295b50b32240c1f0fe0186a8552635f8cae66a6c",
+        "compute-wdi-board": "0d1d5bca4c93927ac361f5beed2f1591f00ec28c8b88d791856902d0193056c4",
+        "compute-wdi-resolution": "0c39af7f703342a7802bd52e42bf79721f9349422dec951435ce93894ecba51d",
+        "error-alpha-range": "3ed2bd47feeae603e093ccc5c3f8cfca655b6ee37bc4dd299136a4885178113d",
+        "error-delimiter": "596aaec938f2195c8f8e9e0b45b2dcd3cd7193e65b06e7de3b97e6b5e5055434",
+        "error-extrapolation": "f29117b12620e405378e937dae2822fb7e1ecf04f599609fe141a9654b56483a",
+        "error-fgm-theta": "749ec55de31630bfea7a2aa3c6da3cce1509061cb0916c70a1d03dfae63072da",
+        "error-network-permutations": "dde7d00fc420871e6993a16ab931766cd0b0a5d0bc5f2751c8ef78b7c6076aa5",
+        "error-resolution": "6f825d62aeef77dc912c313c29be2ff9f774e6156a70e760c6971ad531279647",
+        "error-shape-sizes": "f51e631aac395b209d303e8542fa70546c3058c58d1614bac2c41be384a3de6a",
+        "error-unknown-column": "2868243c207fe167b1d87ffbe5a351159928b5cfb94598b102eba8d64a00fc2e",
+        "network-tied-signrank": "e743c37f078c1f82a07940e4738c2e126ef3227488c010b9827c3a456e685baa",
+        "network-wdi": "070c5d59748bbfbb75a2ed3f44baadb1b87aaa9a57ccef3e1c74a67a24448eba",
+        "pairwise-tied-filter": "125148d8ecd9c71c5ae57d56f586e7192bbd6812142ec8841a1d9f3bfb7955e8",
+        "pairwise-tied-precision": "54c7565aae64f442cfb2ccbc5d03e96e97af91ae28a77b31f2b3268208d728c0",
+        "pairwise-wdi": "7e4345b378b898cf040e4d55d3d4362a9cbde7145e6cdbb056de826c71da88e6",
+        "predict-tied-csv": "7de45b03d10258ab56aee4a4f5e646f56885496cf359726f8102c659156af3bc",
+        "predict-tied-json-yx": "fe55aed0e52b4ebaf3b8c83e36610df4c971c667acff26e0e7199860a3256e64",
+        "predict-wdi-csv": "7cb6840b81fbad05d7a60a809d899574884d779a0cbffb0e58e54cbd81ac4769",
+        "predict-wdi-json-yx": "5c03e7ddc6d70738425abf2bacda87eeea6d48e1a3fba0bdc57d1185701f40ee",
+        "simulate-cd-precision": "f3f44f1b948965b12b5aaefd9852623807d521415c21d51747ab30f8dd5bd8c9",
+        "simulate-fgm-sample": "32aff6406fc4d3dc5526e91048033eb5d59d6974f786b7ce43119bcd9806a47f",
+        "simulate-independence": "c0d70c320286f40b719f520b8fe5b005ed9e868ec202f4232efd6d977f711f9b",
+        "simulate-mo-experiment": "a056cab965bc24b3ca20ac449706a3ff5593588d81a9648695db9b050fc5a9c8",
+        "simulate-shape": "137ce0c9db880df6b99954c7e1a2db7319f7d79fe994610be4af8e71dc462a30",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_bytes(self, capsys, tmp_path, case):
+        if case.startswith("network-"):
+            pytest.importorskip("networkx")
+        if case.endswith("signrank"):
+            pytest.importorskip("scipy")
+        tied, out = tmp_path / "tied.csv", tmp_path / "out"
+        _tied_table(tied)
+        out.mkdir()
+        argv = [a.format(tied=tied, out=out) for a in self.CASES[case]]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        digest = hashlib.sha256(f"{code}\n".encode())
+        for text in (stdout, stderr):
+            text = text.replace(str(tmp_path), "<tmp>").replace(DATA_DIR, "<data>")
+            digest.update(text.encode() + b"\0")
+        for path in sorted(out.rglob("*")):
+            if path.is_file() and path.name != "network.graphml":
+                digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == self.PINS[case]
