@@ -198,33 +198,20 @@ def empirical_copula(pobs: PseudoObservations) -> EmpiricalCopula:
     """Build the empirical copula (rectangle masses) from pseudo-observations.
 
     When either margin is tie-free, every pair is distinct: the copula is the
-    sample itself, in its own order with counts of 1, and the pseudo-observation
-    arrays are returned as they are.  That is exactly what deduplicating the
+    sample itself, in its own order with counts of 1, and ``first`` takes views
+    of the pseudo-observation arrays.  That is exactly what deduplicating the
     pairs would give, so the dedup sort is skipped.
     """
     n = pobs.n
     if _sample_is_its_copula(pobs):
-        return EmpiricalCopula(
-            n=n,
-            ranks_u=pobs.ranks_u,
-            ranks_v=pobs.ranks_v,
-            ties_u=pobs.ties_u,
-            ties_v=pobs.ties_v,
-            counts=np.ones(n, dtype=np.intp),
-        )
-    codes = pobs.ranks_u * (n + 1) + pobs.ranks_v
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)  # keep first-appearance order of the pairs
-    first = first[order]
-    counts = counts[order]
-    return EmpiricalCopula(
-        n=n,
-        ranks_u=pobs.ranks_u[first],
-        ranks_v=pobs.ranks_v[first],
-        ties_u=pobs.ties_u[first],
-        ties_v=pobs.ties_v[first],
-        counts=counts,
-    )
+        first, counts = slice(None), np.ones(n, dtype=np.intp)
+    else:
+        codes = pobs.ranks_u * (n + 1) + pobs.ranks_v
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        order = np.argsort(first)  # keep first-appearance order of the pairs
+        first, counts = first[order], counts[order]
+    arrays = (pobs.ranks_u, pobs.ranks_v, pobs.ties_u, pobs.ties_v)
+    return EmpiricalCopula(n, *(a[first] for a in arrays), counts)
 
 
 def _unit_coordinates(values, name):
@@ -305,16 +292,6 @@ class CheckerboardCopula:
         """The N-checkerboard of the minimum copula: mass 1/N on the diagonal."""
         n = _check_count("resolution", resolution)
         return cls(np.eye(n) / n, validate=False)
-
-    def transpose(self) -> "CheckerboardCopula":
-        return CheckerboardCopula(self.mass.T.copy(), validate=False)
-
-    def cdf_grid(self) -> np.ndarray:
-        """CDF values at the (N+1) x (N+1) cell corners."""
-        n = self.resolution
-        grid = np.zeros((n + 1, n + 1))
-        grid[1:, 1:] = np.cumsum(np.cumsum(self.mass, axis=0), axis=1)
-        return grid
 
     def to_json_dict(self) -> dict:
         return {
@@ -622,7 +599,8 @@ def _boundary_cdfs(mass: np.ndarray) -> np.ndarray:
 
 
 def _mass_of(cb) -> np.ndarray:
-    """The mass matrix of a CheckerboardCopula, or ``cb`` checked by ``_square``."""
+    """The mass matrix of a CheckerboardCopula, or ``cb`` checked by ``_square``:
+    the one way the board functions read a board."""
     return cb.mass if isinstance(cb, CheckerboardCopula) else _square(cb)
 
 
@@ -695,19 +673,23 @@ def zeta1(cb) -> float:
     return float(_zeta1_stack(_mass_of(cb)[None])[0])
 
 
-def transpose(cb: CheckerboardCopula) -> CheckerboardCopula:
-    """The copula with coordinates exchanged (mass matrix transposed)."""
-    return cb.transpose()
+def transpose(cb) -> CheckerboardCopula:
+    """The copula with coordinates exchanged (mass matrix transposed); an array is
+    checked as ``CheckerboardCopula`` checks it, a board is not checked again."""
+    board = cb if isinstance(cb, CheckerboardCopula) else CheckerboardCopula(cb)
+    return CheckerboardCopula(_mass_of(board).T.copy(), validate=False)
 
 
-def d_infty(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
+def d_infty(cb_a, cb_b) -> float:
     """Uniform (sup) metric between the CDFs of two same-resolution boards.
 
     The CDF difference is bilinear on each cell, so the supremum over the unit
-    square is attained at a cell corner.
+    square is attained at a cell corner; both CDFs are 0 on the lower and left edges.
     """
-    _check_same_resolution(cb_a.mass, cb_b.mass)
-    return float(np.max(np.abs(cb_a.cdf_grid() - cb_b.cdf_grid())))
+    ma, mb = _mass_of(cb_a), _mass_of(cb_b)
+    _check_same_resolution(ma, mb)
+    corners = [np.cumsum(np.cumsum(m, axis=0), axis=1) for m in (ma, mb)]
+    return float(np.max(np.abs(corners[0] - corners[1])))
 
 
 def _interpolate(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -720,14 +702,14 @@ def _interpolate(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return c[..., j] * (1.0 - s) + c[..., j + 1] * s
 
 
-def d_infty_markov(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
+def d_infty_markov(cb_a, cb_b) -> float:
     """Sup over y of the x-averaged absolute conditional-CDF difference.
 
     The map y -> integral_x |K_A - K_B| is piecewise linear with kinks at the
     cell boundaries and at interior sign changes of each strip difference, so
     the supremum is the maximum over that finite candidate set.
     """
-    ma, mb = cb_a.mass, cb_b.mass
+    ma, mb = _mass_of(cb_a), _mass_of(cb_b)
     _check_same_resolution(ma, mb)
     N = ma.shape[0]
     e = _boundary_cdfs(ma) - _boundary_cdfs(mb)  # (N, N+1)
@@ -744,14 +726,15 @@ def d_infty_markov(cb_a: CheckerboardCopula, cb_b: CheckerboardCopula) -> float:
     return float(phi.max())
 
 
-def conditional_cdf(cb: CheckerboardCopula, strip: int, y):
+def conditional_cdf(cb, strip: int, y):
     """Conditional CDF of the second coordinate given the first-strip index.
 
     ``strip`` is 1-based (1 <= strip <= N).  The CDF is piecewise linear with
     value N * cumulative strip mass at each cell boundary.
     """
-    strip = _check_count("strip", strip, 1, cb.resolution)
-    out = _interpolate(_boundary_cdfs(cb.mass)[strip - 1], _unit_coordinates(y, "y"))
+    mass = _mass_of(cb)
+    strip = _check_count("strip", strip, 1, mass.shape[0])
+    out = _interpolate(_boundary_cdfs(mass)[strip - 1], _unit_coordinates(y, "y"))
     return float(out) if out.ndim == 0 else out
 
 

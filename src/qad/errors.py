@@ -37,9 +37,8 @@ _THRESHOLDS = {
 
 
 def _check_range(name: str, value, low, high=math.inf):
-    """TypeError naming ``name`` if ``value`` is complex, ValueError unless
-    low <= value <= high, which NaN fails."""
-    _check_real(name, value)
+    """``_check_number``, then ValueError unless low <= value <= high, which NaN fails."""
+    _check_number(name, value)
     if not low <= value <= high:
         left = "(0" if low == _ABOVE_0 else f"[{low}"
         valid = f"in {left}, {high}]" if high <= 1 else f">= {low}"
@@ -58,6 +57,14 @@ def _check_count(name: str, value, low=1, high=math.inf) -> int:
     return int(value)
 
 
+def _check_number(name: str, value):
+    """TypeError naming ``name`` if ``value`` is complex, or else unless it is an
+    int, a float or a numpy real scalar (not a bool)."""
+    _check_real(name, value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+
+
 def _check_real(name: str, values):
     """TypeError if ``values`` is complex: a float cast would drop its imaginary part."""
     if np.iscomplexobj(values):
@@ -65,6 +72,10 @@ def _check_real(name: str, values):
 
 
 def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; TypeError if complex."""
+    """``values`` as a float array; TypeError if complex, or if numpy cannot
+    read them as numbers (strings, an object array holding complex numbers)."""
     _check_real(name, values)
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise TypeError(f"{name} must be real numbers") from None

@@ -77,13 +77,11 @@ def filter_columns(
             continue
         _, counts = np.unique(observed, return_counts=True)
         prop = counts.max() / n_rows
-        if prop >= max_single_value_prop:
+        few_unique = min_unique_prop is not None and counts.size / n_rows < min_unique_prop
+        if prop >= max_single_value_prop or few_unique:
             dropped.append((name, float(prop)))
-            continue
-        if min_unique_prop is not None and counts.size / n_rows < min_unique_prop:
-            dropped.append((name, float(prop)))
-            continue
-        keep.append(idx)
+        else:
+            keep.append(idx)
     if not keep:
         raise DataError("all columns dropped by the tie filter")
     filtered = DataTable(
@@ -281,7 +279,8 @@ class DependencyNetwork:
 
 
 def _hub_scores(weights: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
-    """Principal eigenvector of W W^T by power iteration, scaled to max 1."""
+    """Principal eigenvector of W W^T by power iteration, scaled to max 1.  W >= 0,
+    so (W W^T x)_i >= (W W^T)_ii x_i > 0 on W's nonzero rows: no norm is 0."""
     k = weights.shape[0]
     m = weights @ weights.T
     if not m.any():
@@ -289,10 +288,7 @@ def _hub_scores(weights: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     x = np.full(k, 1.0 / k)
     for _ in range(max_iter):
         nxt = m @ x
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return np.zeros(k)
-        nxt /= norm
+        nxt /= np.linalg.norm(nxt)
         if np.max(np.abs(nxt - x)) < tol:
             x = nxt
             break

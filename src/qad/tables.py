@@ -66,10 +66,6 @@ class IngestReport:
     n_rows: int
     non_numeric: dict
 
-    @property
-    def total_non_numeric(self) -> int:
-        return sum(self.non_numeric.values())
-
     def messages(self):
         return [
             f"column {name!r}: {count} non-numeric cell(s) treated as missing"

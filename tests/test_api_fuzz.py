@@ -23,13 +23,18 @@ import qad
 from qad import (
     BivariateSample,
     CheckerboardCopula,
+    CompletelyDependent,
     DataError,
     DataTable,
     DegenerateInputError,
     QadOptions,
     ShapeGenerator,
+    analytic_checkerboard,
     build_network,
+    checkerboard_aggregate,
     conditional_cdf,
+    d_infty,
+    d_infty_markov,
     ecop_cdf,
     empirical_copula,
     filter_columns,
@@ -40,6 +45,7 @@ from qad import (
     pseudo_observations,
     qad_compute,
     resolution_rule,
+    transpose,
     zeta1,
 )
 from qad.estimator import MAX_PERMUTATIONS
@@ -387,3 +393,90 @@ def test_threshold_probes_name_the_parameter(probe, error, name):
     _, err = _call(probe)
     assert type(err) is error, err
     assert str(err).startswith(f"{name} must be"), err
+
+
+@pytest.mark.parametrize(
+    "probe, error, message",
+    [
+        pytest.param(lambda: filter_columns(_tied_columns(), 0.9, min_unique_prop="0.5"), TypeError,
+                     "min_unique_prop must be a real number, not str", id="min_unique_prop-str"),
+        pytest.param(lambda: filter_columns(_tied_columns(), np.array([0.5, 0.6])), TypeError,
+                     "max_single_value_prop must be a real number, not ndarray",
+                     id="max_single_value_prop-array"),
+        pytest.param(lambda: build_network(_network_input(), alpha=True), TypeError,
+                     "alpha must be a real number, not bool", id="build_network-alpha-bool"),
+        pytest.param(lambda: filter_columns(_tied_columns(), 1j), TypeError,
+                     "max_single_value_prop must be real, not complex",
+                     id="max_single_value_prop-complex"),
+        pytest.param(lambda: zeta1("x"), TypeError, "mass must be real numbers", id="zeta1-str"),
+        pytest.param(lambda: BivariateSample("ab", "cd"), TypeError, "xs must be real numbers",
+                     id="sample-str"),
+        pytest.param(lambda: BivariateSample(np.array([1 + 1j, 2], dtype=object), [1.0, 2.0]),
+                     TypeError, "xs must be real numbers", id="sample-complex-objects"),
+        pytest.param(lambda: predict(_prediction_input(), None), TypeError,
+                     "value must be a real number, not NoneType", id="predict-none"),
+        pytest.param(lambda: d_infty(np.eye(2) / 2, np.array([0.5, 0.5])), ValueError,
+                     "mass must be a non-empty square matrix", id="d_infty-1d"),
+        pytest.param(lambda: transpose(np.array([[0.5, 0.0], [0.5, 0.0]])), ValueError,
+                     "column sums must equal 1/N", id="transpose-column-sums"),
+    ],
+)
+def test_wrong_types_and_board_arrays_raise_qads_own_errors(probe, error, message):
+    """A threshold or prediction point that is not a real number, values numpy
+    cannot read as numbers, and a bad mass array given to a board function are
+    each refused by a ``raise`` in qad's source, with warnings as errors."""
+    _, err = _call(probe)
+    assert type(err) is error, err
+    assert str(err) == message
+
+
+#: a board that is not symmetric, and the product board
+MASS_A = (np.eye(3) + np.eye(3)[[1, 2, 0]] + np.eye(3)[[1, 0, 2]]) / 9
+MASS_B = np.full((3, 3), 1.0 / 9)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(d_infty, (MASS_A, MASS_B), id="d_infty"),
+        pytest.param(d_infty_markov, (MASS_A, MASS_B), id="d_infty_markov"),
+        pytest.param(conditional_cdf, (MASS_A, 2, np.array([0.0, 0.3, 0.5, 1.0])),
+                     id="conditional_cdf"),
+        pytest.param(transpose, (MASS_A,), id="transpose"),
+    ],
+)
+def test_board_functions_take_a_mass_array(fn, args):
+    """Each board function gives, on a mass array, the bits it gives on
+    ``CheckerboardCopula`` of that array, with warnings as errors."""
+    boards = [CheckerboardCopula(a) if isinstance(a, np.ndarray) and a.ndim == 2 else a
+              for a in args]
+    out, err = _call(fn, *args)
+    assert err is None, err
+    expected = fn(*boards)
+    if isinstance(expected, CheckerboardCopula):
+        assert type(out) is CheckerboardCopula
+        out, expected = out.mass, expected.mass
+    assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "probe, error, message",
+    [
+        pytest.param(lambda: CheckerboardCopula(np.array([[0.5, 0.0], [0.5, 0.0]])), ValueError,
+                     "column sums must equal 1/N", id="column-sums"),
+        pytest.param(lambda: checkerboard_aggregate(np.eye(2), 2), TypeError,
+                     "expected EmpiricalCopula or CheckerboardCopula", id="aggregate-array"),
+        pytest.param(lambda: analytic_checkerboard(CompletelyDependent(2), 4), TypeError,
+                     "no analytic CDF for this model", id="analytic-cd"),
+        pytest.param(lambda: generate_shape(ShapeGenerator("non_coexistence", 10, 1e-6), 0),
+                     ValueError, "noise band too small: fewer than 2 points kept",
+                     id="non_coexistence-band"),
+    ],
+)
+def test_rarely_met_raises(probe, error, message):
+    """Column sums off 1/N, a bare array to aggregate, a model without an
+    analytic CDF and a noise band that keeps fewer than two points are refused
+    by a ``raise`` in qad's source, with its message."""
+    _, err = _call(probe)
+    assert type(err) is error, err
+    assert str(err) == message

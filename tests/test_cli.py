@@ -735,3 +735,27 @@ class TestOutputPins:
             if path.is_file() and path.name != "network.graphml":
                 digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == self.PINS[case]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("", "empty file", id="empty"),
+        pytest.param("\n  \n\n", "empty file", id="blank-lines"),
+        pytest.param("a,,b\n1,2,3\n", "empty column name in header", id="empty-name"),
+    ],
+)
+def test_empty_file_and_header_name_are_data_errors(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "compute", str(path), "--x", "a", "--y", "b")
+    assert code == 3
+    assert err == f"error: {path}: {message}\n"
+    assert out == ""
+
+
+def test_zero_simulate_size_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "independence", "-n", "0")
+    assert code == 2
+    assert "argument -n: sizes must be positive" in err
+    assert out == ""
