@@ -53,6 +53,10 @@ MASS_TOL = 1e-12
 #: sums the group product matches only to rounding.
 DGEMM_MAX_CELLS = 70_000
 
+#: The largest N of any board built: 2^26 float64 cells (512 MiB).  A fit's other
+#: arrays hold O(n) cells, or no more than the board or DGEMM_MAX_CELLS.
+MAX_RESOLUTION = 1 << 13
+
 
 def _as_float_vector(values, name):
     arr = _real_array(values, name)
@@ -230,6 +234,10 @@ def ecop_cdf(ecop: EmpiricalCopula, u, v):
     [0, u] x [0, v].  Scalars in, scalar out; arrays broadcast elementwise.
     """
     u_arr, v_arr = _unit_coordinates(u, "u"), _unit_coordinates(v, "v")
+    try:
+        np.broadcast_shapes(u_arr.shape, v_arr.shape)
+    except ValueError:
+        raise ValueError(f"u and v must broadcast, not {u_arr.shape} and {v_arr.shape}") from None
     n = ecop.n
     lo_u = (ecop.ranks_u - ecop.ties_u) / n
     lo_v = (ecop.ranks_v - ecop.ties_v) / n
@@ -243,10 +251,9 @@ def ecop_cdf(ecop: EmpiricalCopula, u, v):
 
 
 def _square(mass, validate: bool = True) -> np.ndarray:
-    """``mass`` as a float array, ValueError unless it is a non-empty square
-    matrix; with ``validate``, also TypeError if it is complex and ValueError
-    unless every entry is finite (NaN would pass every tolerance check of a board)."""
-    mass = _real_array(mass, "mass") if validate else np.asarray(mass, dtype=float)
+    """``_real_array(mass)``, ValueError unless it is a non-empty square matrix
+    and, with ``validate``, finite: NaN would pass every tolerance check of a board."""
+    mass = _real_array(mass, "mass")
     if mass.ndim != 2 or mass.shape[0] != mass.shape[1] or not mass.size:
         raise ValueError("mass must be a non-empty square matrix")
     if validate and not np.isfinite(mass).all():
@@ -284,13 +291,13 @@ class CheckerboardCopula:
     @classmethod
     def independence(cls, resolution: int) -> "CheckerboardCopula":
         """The product copula: all cells carry 1/N^2."""
-        n = _check_count("resolution", resolution)
+        n = _check_count("resolution", resolution, 1, MAX_RESOLUTION)
         return cls(np.full((n, n), 1.0 / (n * n)), validate=False)
 
     @classmethod
     def comonotone(cls, resolution: int) -> "CheckerboardCopula":
         """The N-checkerboard of the minimum copula: mass 1/N on the diagonal."""
-        n = _check_count("resolution", resolution)
+        n = _check_count("resolution", resolution, 1, MAX_RESOLUTION)
         return cls(np.eye(n) / n, validate=False)
 
     def to_json_dict(self) -> dict:
@@ -537,7 +544,7 @@ def checkerboard_aggregate(copula, resolution: int) -> CheckerboardCopula:
     and ``_boards`` as the fit does; cell (i, j) of an M-board is a rectangle
     of ranks i + 1 and j + 1, ties 1, on a scale of M strips.
     """
-    N = _check_count("resolution", resolution)
+    N = _check_count("resolution", resolution, 1, MAX_RESOLUTION)
     if isinstance(copula, EmpiricalCopula):
         ranks = (copula.ranks_u, copula.ties_u, copula.ranks_v, copula.ties_v)
         strip_width, masses = copula.n, copula.counts / copula.n
@@ -747,7 +754,7 @@ def extremal_metric_pair(resolution: int):
     conditional CDFs disagree fully on the interior strips, giving
     d_infty = 1/(2N) and D_infty = (N-1)/N.
     """
-    N = _check_count("resolution", resolution, 2)
+    N = _check_count("resolution", resolution, 2, MAX_RESOLUTION)
     if N % 2:
         raise ValueError("resolution must be an even integer >= 2")
     full = 1.0 / N

@@ -59,23 +59,21 @@ def _check_count(name: str, value, low=1, high=math.inf) -> int:
 
 def _check_number(name: str, value):
     """TypeError naming ``name`` if ``value`` is complex, or else unless it is an
-    int, a float or a numpy real scalar (not a bool)."""
-    _check_real(name, value)
+    int, a float or a numpy real scalar (not a bool); nothing is converted."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise TypeError(f"{name} must be real, not complex")
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
 
 
-def _check_real(name: str, values):
-    """TypeError if ``values`` is complex: a float cast would drop its imaginary part."""
-    if np.iscomplexobj(values):
-        raise TypeError(f"{name} must be real, not complex")
-
-
 def _real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; TypeError if complex, or if numpy cannot
-    read them as numbers (strings, an object array holding complex numbers)."""
-    _check_real(name, values)
+    """``values`` as a float array, read once; TypeError if complex (a float cast
+    would drop the imaginary part), or if numpy cannot read them as numbers
+    (strings, ragged nests, an object array holding complex numbers)."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be real numbers") from None
+    raise TypeError(f"{name} must be real, not complex")

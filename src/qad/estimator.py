@@ -28,6 +28,7 @@ import numpy as np
 
 from .copula import (
     _AS_IS,
+    MAX_RESOLUTION,
     BivariateSample,
     _boards_from_ranks,
     _fit_boards,
@@ -75,11 +76,6 @@ HEAP_HINT_BYTES = 1 << 22
 
 #: Sample sizes below this draw a warning: the rule gives at most three strips.
 MIN_N_WARNING = 16
-
-#: The most float64 cells (512 MiB) the board of a fit at an overridden resolution
-#: may hold; other arrays of a fit hold O(n) cells, or no more than the board or
-#: copula.DGEMM_MAX_CELLS.  The rule's N <= sqrt(n) keeps its boards below n cells.
-MAX_FIT_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
 
 def _prepare(sample, resolution=None):
     """(pobs, N): the sample ranked once and the resolution, the rule's unless
-    ``resolution`` overrides it; an override must be >= 1 and within ``MAX_FIT_CELLS``.
+    ``resolution`` overrides it; an override must lie in [1, ``MAX_RESOLUTION``].
 
     An untouched ``HEAP_HINT_BYTES`` block is allocated and freed: with glibc
     this costs one mmap/munmap pair the first time and no page fault; other
@@ -158,10 +154,10 @@ def _prepare(sample, resolution=None):
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
-    elif N * N > MAX_FIT_CELLS:
+    elif N > MAX_RESOLUTION:
         raise ValueError(
             f"resolution {N} is too large for n = {n}: the board would "
-            f"hold {N * N} cells, above the limit of {MAX_FIT_CELLS}"
+            f"hold {N * N} cells, above the limit of {MAX_RESOLUTION**2}"
         )
     np.empty(HEAP_HINT_BYTES, dtype=np.uint8)
     return pobs, N
@@ -297,8 +293,7 @@ def _asymmetry_p(observed, null) -> float:
 def _permutation_test(null, p_value, sample, permutations, seed, resolution, threads):
     """``p_value(observed pairs, null(pobs, N, permutations, seed))`` of one test."""
     _check_count("permutations", permutations, 1, MAX_PERMUTATIONS)
-    _check_count("seed", seed, 0)
-    _check_count("threads", threads)
+    QadOptions(permutations, seed, resolution, threads)
     pobs, N = _prepare(sample, resolution)
     return p_value(_observed_pairs(pobs, N), null(pobs, N, permutations, seed))
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copula import BivariateSample, CheckerboardCopula
+from .copula import MAX_RESOLUTION, BivariateSample, CheckerboardCopula
 from .errors import _check_count
 from .estimator import QadOptions, qad_compute
 
@@ -190,7 +190,7 @@ def analytic_checkerboard(model: CopulaModel, resolution: int) -> CheckerboardCo
     Serves as a transcription guard for the closed-form formulas: zeta1 of
     this board converges to the closed-form value as the resolution grows.
     """
-    resolution = _check_count("resolution", resolution)
+    resolution = _check_count("resolution", resolution, 1, MAX_RESOLUTION)
     grid = np.arange(resolution + 1) / resolution
     uu, vv = np.meshgrid(grid, grid, indexing="ij")
     cdf = model._cdf(uu, vv)

@@ -99,11 +99,11 @@ def _check_delimiter(delimiter, name="delimiter"):
 def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     """Read a delimited text file with a header row of unique column names.
 
-    Returns (DataTable, IngestReport).  Raises DataError for unreadable or
-    non-UTF-8 files, duplicate or empty headers, ragged rows, rows the csv
-    module rejects (a cell above its field limit), and zero data rows, and
-    ValueError for a bad ``delimiter``.  Rows end at LF, CR or CRLF; blank lines
-    are skipped; a ragged or rejected row is named by its first line in the file.
+    ``missing`` is one marker or an iterable of them.  Returns (DataTable, IngestReport).
+    Raises DataError for unreadable or non-UTF-8 files, duplicate or empty headers,
+    ragged rows, rows the csv module rejects (a cell above its field limit), and zero
+    data rows, and ValueError for a bad ``delimiter``.  Rows end at LF, CR or CRLF;
+    blank lines are skipped; a ragged or rejected row is named by its first line.
     """
     _check_delimiter(delimiter)
     starts = []  # file line numbers of the row being read
@@ -141,7 +141,7 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     if not data_rows:
         raise DataError(f"{path}: zero data rows")
 
-    missing_set = set(missing)
+    missing_set = {missing} if isinstance(missing, str) else set(missing)
     values = np.full((len(data_rows), k), np.nan)
     non_numeric = {}
     for j, name in enumerate(header):

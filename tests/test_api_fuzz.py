@@ -12,6 +12,7 @@ numpy or Python raises on qad's behalf carries no message of qad's own.
 
 import os
 import traceback
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ import qad
 from qad import (
     BivariateSample,
     CheckerboardCopula,
+    FGM,
     CompletelyDependent,
     DataError,
     DataTable,
@@ -33,10 +35,12 @@ from qad import (
     build_network,
     checkerboard_aggregate,
     conditional_cdf,
+    d1,
     d_infty,
     d_infty_markov,
     ecop_cdf,
     empirical_copula,
+    extremal_metric_pair,
     filter_columns,
     generate_shape,
     pairwise_qad,
@@ -48,6 +52,7 @@ from qad import (
     transpose,
     zeta1,
 )
+from qad.copula import MAX_RESOLUTION
 from qad.estimator import MAX_PERMUTATIONS
 from qad.pairwise import PairwiseResult
 
@@ -480,3 +485,64 @@ def test_rarely_met_raises(probe, error, message):
     _, err = _call(probe)
     assert type(err) is error, err
     assert str(err) == message
+
+
+#: a nest numpy cannot read as an array: its rows differ in length
+RAGGED = [[1.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "probe, name",
+    [
+        pytest.param(lambda: zeta1(RAGGED), "mass", id="zeta1"),
+        pytest.param(lambda: d1(RAGGED, MASS_B), "mass", id="d1"),
+        pytest.param(lambda: transpose(RAGGED), "mass", id="transpose"),
+        pytest.param(lambda: BivariateSample(RAGGED, [1.0, 2.0]), "xs", id="BivariateSample"),
+        pytest.param(lambda: DataTable(["a"], RAGGED), "values", id="DataTable"),
+        pytest.param(lambda: ecop_cdf(COPULA, RAGGED, 0.5), "u", id="ecop_cdf"),
+        pytest.param(lambda: conditional_cdf(MASS_B, 1, RAGGED), "y", id="conditional_cdf"),
+        pytest.param(lambda: filter_columns(_tied_columns(), RAGGED), "max_single_value_prop",
+                     id="filter_columns"),
+        pytest.param(lambda: build_network(_network_input(), q_threshold=RAGGED), "q_threshold",
+                     id="build_network"),
+        pytest.param(lambda: predict(_prediction_input(), RAGGED), "value", id="predict"),
+    ],
+)
+def test_ragged_nests_raise_qads_own_type_error(probe, name):
+    """A ragged nest, which numpy cannot read as an array, is refused with a
+    TypeError naming the parameter, by a ``raise`` in qad's source, with
+    warnings as errors."""
+    _, err = _call(probe)
+    assert type(err) is TypeError, err
+    assert str(err).startswith(f"{name} must be"), err
+
+
+def test_ecop_cdf_coordinates_that_do_not_broadcast():
+    """u and v whose shapes do not broadcast are refused by qad, naming both."""
+    _, err = _call(ecop_cdf, COPULA, [0.1, 0.2, 0.3], [0.1, 0.2])
+    assert type(err) is ValueError, err
+    assert str(err).startswith("u and v must broadcast"), err
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(CheckerboardCopula.independence, id="independence"),
+        pytest.param(CheckerboardCopula.comonotone, id="comonotone"),
+        pytest.param(lambda N: checkerboard_aggregate(COPULA, N), id="checkerboard_aggregate"),
+        pytest.param(extremal_metric_pair, id="extremal_metric_pair"),
+        pytest.param(lambda N: analytic_checkerboard(FGM(0.5), N), id="analytic_checkerboard"),
+    ],
+)
+def test_board_builders_refuse_a_resolution_above_the_bound(build):
+    """Every builder that takes a resolution refuses one above MAX_RESOLUTION
+    before it allocates a board, which at 8193 strips would take 537 MB."""
+    tracemalloc.start()
+    try:
+        _, err = _call(build, MAX_RESOLUTION + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(err) is ValueError, err
+    assert str(err) == f"resolution must be <= {MAX_RESOLUTION}"
+    assert peak < 1 << 20, f"traced peak {peak} bytes"

@@ -113,3 +113,14 @@ def test_traced_peak_is_bounded_by_file_size(tmp_path):
         tracemalloc.stop()
     assert table.values.shape == (20_000, 8)
     assert peak <= 10 * size, f"traced peak {peak / size:.1f}x the file size"
+
+
+def test_one_missing_marker_as_a_string(tmp_path):
+    """A bare string is one marker, not a set of characters: with ``missing="NA"``
+    the cell "NA" is missing and the cell "N" is non-numeric."""
+    path = tmp_path / "na.csv"
+    path.write_text("a,b\n1,NA\n2,N\nNA,3\n")
+    table, report = ingest_csv(path, missing="NA")
+    expected, expected_report = ingest_csv(path, missing=["NA"])
+    assert table.values.tobytes() == expected.values.tobytes()
+    assert report == expected_report == IngestReport(n_rows=3, non_numeric={"a": 0, "b": 1})
