@@ -69,11 +69,14 @@ def _check_number(name: str, value):
 def _real_array(values, name: str) -> np.ndarray:
     """``values`` as a float array, read once; TypeError if complex (a float cast
     would drop the imaginary part), or if numpy cannot read them as numbers
-    (strings, ragged nests, an object array holding complex numbers)."""
+    (strings, ragged nests, an object array holding complex numbers);
+    ValueError if an int is too large for a float."""
     try:
         arr = np.asarray(values)
         if arr.dtype.kind != "c":
             return arr.astype(float, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range") from None
     except (TypeError, ValueError):
         raise TypeError(f"{name} must be real numbers") from None
     raise TypeError(f"{name} must be real, not complex")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .copula import BivariateSample, _fit_boards
-from .errors import ExtrapolationError, _check_number
+from .errors import ExtrapolationError, _check_number, _real_array
 from .estimator import _prepare
 
 __all__ = ["PredictionTable", "prediction_table", "predict"]
@@ -119,10 +119,11 @@ def predict(table: PredictionTable, value: float):
 
     Locates the conditioning strip containing ``value`` and returns the list
     of ((interval_low, interval_high), probability) pairs for that strip.
-    A ``value`` that is not a real number is refused with TypeError.
+    A ``value`` that is not a real number is refused with TypeError, and an int
+    too large for a float with ValueError.
     """
     _check_number("value", value)
-    strip = locate_strip(table.conditioning_breaks, float(value))
+    strip = locate_strip(table.conditioning_breaks, float(_real_array(value, "value")))
     breaks = table.predicted_breaks
     return [
         ((float(breaks[j]), float(breaks[j + 1])), float(table.cond[strip, j]))

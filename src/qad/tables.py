@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -21,6 +20,10 @@ from .errors import DataError, _real_array
 __all__ = ["DataTable", "ingest_csv", "IngestReport"]
 
 DEFAULT_MISSING = ("", "NA")
+
+#: cells converted at a time: a block holds max(1, BLOCK_CELLS // k) rows of k cells,
+#: so the cell strings alive at once stay bounded whatever the file size
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,16 @@ def _check_delimiter(delimiter, name="delimiter"):
         raise ValueError(f"{name} must be one character, not a line break: {delimiter!r}")
 
 
+def _rows(reader, k, starts, path):
+    """The rows of ``reader``; DataError naming the first line of one without k fields."""
+    starts.clear()
+    for row in reader:
+        if len(row) != k:
+            raise DataError(f"{path}: row {starts[0]} has {len(row)} fields, expected {k}")
+        starts.clear()
+        yield row
+
+
 def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     """Read a delimited text file with a header row of unique column names.
 
@@ -104,8 +117,10 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
     ragged rows, rows the csv module rejects (a cell above its field limit), and zero
     data rows, and ValueError for a bad ``delimiter``.  Rows end at LF, CR or CRLF;
     blank lines are skipped; a ragged or rejected row is named by its first line.
+    Rows are converted as they are read, BLOCK_CELLS cells at a time.
     """
     _check_delimiter(delimiter)
+    missing = {missing} if isinstance(missing, str) else set(missing)
     starts = []  # file line numbers of the row being read
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -120,13 +135,16 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
             if len(set(header)) != len(header):
                 raise DataError(f"{path}: duplicate column names in header")
             k = len(header)
-            data_rows = []
-            starts.clear()
-            for row in reader:
-                if len(row) != k:
-                    raise DataError(f"{path}: row {starts[0]} has {len(row)} fields, expected {k}")
-                starts.clear()
-                data_rows.append(row)
+            rows, per_block = _rows(reader, k, starts, path), max(1, BLOCK_CELLS // k)
+            blocks, non_numeric = [], np.zeros(k, dtype=int)
+            while cells := list(map(str.strip, chain.from_iterable(islice(rows, per_block)))):
+                absent = np.fromiter(map(missing.__contains__, cells), bool, len(cells))
+                parsed = np.fromiter(map(_parse_cell, cells), float, len(cells))
+                finite = np.isfinite(parsed)
+                # non-finite cells ("inf", "nan", ...) count as non-numeric and stay missing
+                non_numeric += (~(finite | absent)).reshape(-1, k).sum(axis=0)
+                parsed[absent | ~finite] = np.nan
+                blocks.append(parsed)
     except UnicodeDecodeError as exc:  # its position counts from the read block
         with open(path, "rb") as fh:
             try:
@@ -138,29 +156,10 @@ def ingest_csv(path, missing=DEFAULT_MISSING, delimiter: str | None = None):
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:  # e.g. a cell above csv.field_size_limit()
         raise DataError(f"{path}: row {starts[0]}: {exc}") from exc
-    if not data_rows:
+    if not blocks:
         raise DataError(f"{path}: zero data rows")
-
-    missing_set = {missing} if isinstance(missing, str) else set(missing)
-    values = np.full((len(data_rows), k), np.nan)
-    non_numeric = {}
-    for j, name in enumerate(header):
-        cells = list(map(str.strip, map(itemgetter(j), data_rows)))
-        present = slice(None)
-        if not missing_set.isdisjoint(cells):
-            present = ~np.fromiter(map(missing_set.__contains__, cells), bool, len(cells))
-            cells = list(compress(cells, present.tolist()))
-        try:
-            parsed = np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:  # some cell is not a number: convert cell by cell
-            parsed = np.fromiter(map(_parse_cell, cells), float, len(cells))
-        finite = np.isfinite(parsed)
-        # non-finite cells ("inf", "nan", ...) count as non-numeric and stay missing
-        parsed[~finite] = np.nan
-        values[present, j] = parsed
-        non_numeric[name] = int(parsed.size - np.count_nonzero(finite))
-    table = DataTable(tuple(header), values)
-    return table, IngestReport(n_rows=len(data_rows), non_numeric=non_numeric)
+    table = DataTable(tuple(header), np.concatenate(blocks).reshape(-1, k))
+    return table, IngestReport(table.n_rows, dict(zip(header, non_numeric.tolist())))
 
 
 def _parse_cell(cell: str) -> float:

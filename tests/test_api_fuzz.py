@@ -546,3 +546,25 @@ def test_board_builders_refuse_a_resolution_above_the_bound(build):
     assert type(err) is ValueError, err
     assert str(err) == f"resolution must be <= {MAX_RESOLUTION}"
     assert peak < 1 << 20, f"traced peak {peak} bytes"
+
+
+#: an int no float can hold: float() and numpy's float cast raise OverflowError on it
+HUGE = 2**1100
+
+
+@pytest.mark.parametrize(
+    "probe, name",
+    [
+        pytest.param(lambda: BivariateSample([HUGE, 1], [1.0, 2.0]), "xs", id="BivariateSample"),
+        pytest.param(lambda: zeta1([[HUGE]]), "mass", id="zeta1"),
+        pytest.param(lambda: DataTable(("a",), [[HUGE]]), "values", id="DataTable"),
+        pytest.param(lambda: predict(_prediction_input(), HUGE), "value", id="predict"),
+    ],
+)
+def test_an_int_too_large_for_a_float_raises_qads_own_value_error(probe, name):
+    """An int beyond the float range, where qad converts it to a float, is refused
+    with a ValueError naming the parameter, by a ``raise`` in qad's source, with
+    warnings as errors."""
+    _, err = _call(probe)
+    assert type(err) is ValueError, err
+    assert str(err) == f"{name} must be within the float range", err

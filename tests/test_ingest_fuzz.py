@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qad import DataError, IngestReport, ingest_csv
-from qad.tables import DEFAULT_MISSING
+from qad.tables import BLOCK_CELLS, DEFAULT_MISSING
 
 from test_tie_free import _per_cell_reference
 
@@ -124,3 +124,67 @@ def test_one_missing_marker_as_a_string(tmp_path):
     expected, expected_report = ingest_csv(path, missing=["NA"])
     assert table.values.tobytes() == expected.values.tobytes()
     assert report == expected_report == IngestReport(n_rows=3, non_numeric={"a": 0, "b": 1})
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(["a,b,c"] + [",".join(row) for row in rows]) + "\n")
+
+
+def _multi_block_rows():
+    """20 000 rows of 3 numeric cells spanning four blocks of BLOCK_CELLS cells, with
+    a non-numeric cell, an "inf" and a missing marker in the second and the last."""
+    k, n = 3, 20_000
+    rng = np.random.default_rng(5)
+    rows = [[f"{v:.6f}" for v in row] for row in rng.normal(size=(n, k))]
+    per_block = BLOCK_CELLS // k
+    assert n > 3 * per_block
+    for first in (per_block, (n - 1) // per_block * per_block):
+        rows[first + 1][0] = "x"
+        rows[first + 2][1] = " inf "
+        rows[first + 3][k - 1] = "NA"
+    return rows
+
+
+def test_rows_across_blocks_match_per_cell_reference(tmp_path):
+    rows = _multi_block_rows()
+    path = tmp_path / "blocks.csv"
+    _write_rows(path, rows)
+    table, report = ingest_csv(path)
+    values, bad = _per_cell_reference(rows, set(DEFAULT_MISSING))
+    assert table.values.tobytes() == values.tobytes()
+    assert report == IngestReport(n_rows=len(rows), non_numeric=dict(zip("abc", bad)))
+    assert bad == [2, 2, 0] and int(np.isnan(values[:, 2]).sum()) == 2
+
+
+def test_a_ragged_row_in_a_later_block_names_its_line(tmp_path):
+    rows = _multi_block_rows()
+    path = tmp_path / "ragged.csv"
+    _write_rows(path, rows[:-5] + [rows[-5][:2]] + rows[-4:])
+    # the header is line 1, so row i of ``rows`` is on line i + 2
+    with pytest.raises(DataError, match=f"row {len(rows) - 3} has 2 fields, expected 3$"):
+        ingest_csv(path)
+
+
+def test_traced_peak_is_at_most_three_times_the_file_size(tmp_path):
+    """The 20 000 x 8 file of test_traced_peak_is_bounded_by_file_size, under the
+    tighter bound that block-wise conversion keeps."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "numeric.csv"
+    lines = [",".join(f"v{j}" for j in range(8))]
+    lines += [",".join(f"{v:.6f}" for v in row) for row in rng.normal(size=(20_000, 8))]
+    path.write_text("\n".join(lines) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        table, _ = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.values.shape == (20_000, 8)
+    assert peak <= 3 * size, f"traced peak {peak / size:.1f}x the file size"
+
+
+def test_missing_is_read_before_the_file(tmp_path):
+    """An unusable ``missing`` fails before the file is opened."""
+    with pytest.raises(TypeError):
+        ingest_csv(tmp_path / "absent.csv", missing=5)
