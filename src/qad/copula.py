@@ -151,21 +151,18 @@ def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
     u_i = F_n(x_i) = (number of x_j <= x_i) / n, and likewise for v_i.
     Ties are not broken; tied values share the same (maximal) rank.
     """
-    ru, tu = _max_ranks(sample.xs)
-    rv, tv = _max_ranks(sample.ys)
-    n = sample.n
-    # distinct values and distinct max-ranks correspond one to one
-    return PseudoObservations(
-        us=ru / n,
-        vs=rv / n,
-        n=n,
-        n_unique_u=int(np.count_nonzero(np.bincount(ru))),
-        n_unique_v=int(np.count_nonzero(np.bincount(rv))),
-        ranks_u=ru,
-        ranks_v=rv,
-        ties_u=tu,
-        ties_v=tv,
-    )
+    return _ranked(*_max_ranks(sample.xs), *_max_ranks(sample.ys))
+
+
+def _ranked(ru, tu, rv, tv) -> PseudoObservations:
+    """The pseudo-observations of the rows whose margins ``_max_ranks`` ranked
+    as (ru, tu) and (rv, tv); distinct values and max-ranks match one to one."""
+    n = ru.size
+
+    def unique(r, t):
+        return n if t.max() == 1 else int(np.count_nonzero(np.bincount(r)))
+
+    return PseudoObservations(ru / n, rv / n, n, unique(ru, tu), unique(rv, tv), ru, rv, tu, tv)
 
 
 @dataclass(frozen=True)

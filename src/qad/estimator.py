@@ -30,6 +30,7 @@ from .copula import (
     _AS_IS,
     MAX_RESOLUTION,
     BivariateSample,
+    PseudoObservations,
     _boards_from_ranks,
     _fit_boards,
     _permuted_boards,
@@ -141,8 +142,9 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
 
 
 def _prepare(sample, resolution=None):
-    """(pobs, N): the sample ranked once and the resolution, the rule's unless
-    ``resolution`` overrides it; an override must lie in [1, ``MAX_RESOLUTION``].
+    """(pobs, N): the sample ranked once, or as given if it is a
+    ``PseudoObservations`` of 2 or more rows, and the resolution, the rule's
+    unless ``resolution`` overrides it; an override must lie in [1, ``MAX_RESOLUTION``].
 
     An untouched ``HEAP_HINT_BYTES`` block is allocated and freed: with glibc
     this costs one mmap/munmap pair the first time and no page fault; other
@@ -150,7 +152,9 @@ def _prepare(sample, resolution=None):
     """
     if resolution is not None:
         _check_count("resolution override", resolution)
-    pobs = pseudo_observations(sample)
+    if sample.n < 2:
+        raise DegenerateInputError("need at least 2 observations")
+    pobs = sample if isinstance(sample, PseudoObservations) else pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
@@ -299,7 +303,7 @@ def _permutation_test(null, p_value, sample, permutations, seed, resolution, thr
 
 
 def permutation_test_dependence(
-    sample: BivariateSample,
+    sample: BivariateSample | PseudoObservations,
     permutations: int,
     seed: int,
     resolution: int | None = None,
@@ -317,7 +321,7 @@ def permutation_test_dependence(
 
 
 def permutation_test_asymmetry(
-    sample: BivariateSample,
+    sample: BivariateSample | PseudoObservations,
     permutations: int,
     seed: int,
     resolution: int | None = None,
@@ -336,23 +340,23 @@ def permutation_test_asymmetry(
     )
 
 
-def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:
+def qad_compute(
+    sample: BivariateSample | PseudoObservations, opts: QadOptions = QadOptions()
+) -> QadResult:
     """Full estimation pipeline for one sample.
 
-    Ranks the sample once, fits both directions' checkerboards from one
-    empirical copula, evaluates zeta1 on each, and attaches permutation
-    p-values, from the same ranks, when requested.
+    Ranks the sample once, unless it is given as pseudo-observations, fits
+    both directions' checkerboards from one empirical copula, evaluates zeta1
+    on each, and attaches permutation p-values, from the same ranks, if asked.
     """
     return _compute_with_boards(sample, opts)[0]
 
 
-def _compute_with_boards(sample: BivariateSample, opts: QadOptions):
+def _compute_with_boards(sample: BivariateSample | PseudoObservations, opts: QadOptions):
     """``qad_compute`` plus the boards it fitted: (QadResult, (board_xy, board_yx))."""
-    n = sample.n
-    if n < 2:
-        raise DegenerateInputError("need at least 2 observations")
     warnings = []
     pobs, resolution = _prepare(sample, opts.resolution_override)
+    n = pobs.n
     if resolution > n:
         warnings.append(
             f"resolution {resolution} exceeds the sample size {n}: the board is not "

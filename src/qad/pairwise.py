@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .copula import BivariateSample, _max_ranks
+from .copula import PseudoObservations, _max_ranks, _ranked
 from .errors import _THRESHOLDS, DataError, _check_count, _check_range
 from .estimator import QadOptions, qad_compute
 from .tables import DataTable
@@ -119,7 +119,7 @@ def _pair_seed(seed: int, name_a: str, name_b: str) -> int:
     """Deterministic per-pair seed from the global seed and sorted names."""
     key = "\x1f".join(sorted((name_a, name_b))).encode("utf-8")
     digest = hashlib.sha256(key).digest()
-    return (int(seed) & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
+    return int(seed) ^ int.from_bytes(digest[:8], "big")
 
 
 def _complete_rows(xs: np.ndarray, ys: np.ndarray):
@@ -128,10 +128,14 @@ def _complete_rows(xs: np.ndarray, ys: np.ndarray):
     return xs[complete], ys[complete]
 
 
-def _canonical_pair(xs: np.ndarray, ys: np.ndarray) -> BivariateSample:
-    # sort rows lexicographically so results ignore the table's row order
-    order = np.lexsort((ys, xs))
-    return BivariateSample(xs[order], ys[order])
+def _canonical_pair(xs: np.ndarray, ys: np.ndarray) -> PseudoObservations:
+    """The finite rows of a pair ranked once, in the order of their rank pairs,
+    so results ignore the table's row order: rows sorted by x, then by y, up
+    to rows with equal rank pairs, which are interchangeable."""
+    ru, tu = _max_ranks(xs)
+    rv, tv = _max_ranks(ys)
+    order = np.argsort(ru * (xs.size + 1) + rv)
+    return _ranked(ru[order], tu[order], rv[order], tv[order])
 
 
 def pairwise_qad(

@@ -10,6 +10,7 @@ from qad import (
     QadOptions,
     permutation_test_asymmetry,
     permutation_test_dependence,
+    prediction_table,
     qad_compute,
     resolution_rule,
 )
@@ -129,6 +130,16 @@ class TestQadCompute:
     def test_too_small_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
             qad_compute(BivariateSample([1.0], [2.0]))
+
+    @pytest.mark.parametrize("entry", [
+        qad_compute,
+        lambda s: permutation_test_dependence(s, 9, 0),
+        lambda s: permutation_test_asymmetry(s, 9, 0),
+        prediction_table,
+    ], ids=["qad_compute", "dependence_test", "asymmetry_test", "prediction_table"])
+    def test_one_row_refused_everywhere(self, entry):
+        with pytest.raises(DegenerateInputError, match="need at least 2 observations"):
+            entry(BivariateSample([1.0], [2.0]))
 
     def test_constant_inputs_yield_zero_with_warning(self):
         result = qad_compute(BivariateSample([3.0] * 20, [3.0] * 20))

@@ -14,6 +14,7 @@ from qad import (
     filter_columns,
     influence_summary,
     pairwise_qad,
+    pseudo_observations,
     qad_compute,
 )
 from qad.pairwise import _sign_test_greater
@@ -109,6 +110,72 @@ class TestPairwiseQad:
         typed = pairwise_qad(table, QadOptions(permutations=np.int64(19), seed=np.int64(3)))
         assert_allclose(typed.p_q, plain.p_q, rtol=0, atol=0)
         assert_allclose(typed.p_asymmetry, plain.p_asymmetry, rtol=0, atol=0)
+
+    def test_seed_keeps_every_bit(self):
+        """Seeds s and s + 2^64 give different p-values, as they do in qad_compute."""
+        table = make_table(seed=56, n=60, k=3)
+        low, high = (
+            pairwise_qad(table, QadOptions(permutations=19, seed=s)) for s in (5, 5 + (1 << 64))
+        )
+        assert not np.array_equal(low.p_q, high.p_q, equal_nan=True)
+        assert np.array_equal(low.q, high.q, equal_nan=True)
+
+    def test_ranks_each_pair_once(self, monkeypatch):
+        """A screened pair is ranked by two _max_ranks calls, one per column, and
+        is scored as those pseudo-observations: pseudo_observations never runs."""
+        import qad.copula
+        import qad.estimator
+        import qad.pairwise
+
+        calls = {"_max_ranks": 0, "pseudo_observations": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module in (qad.copula, qad.pairwise):
+            counting(module, "_max_ranks")
+        for module in (qad.copula, qad.estimator):
+            counting(module, "pseudo_observations")
+        table = make_table(seed=57, n=80, k=3)
+        table.values[::7, 1] = np.round(table.values[::7, 1], 1)
+        pairwise_qad(table, QadOptions(permutations=9, seed=4))
+        assert calls == {"_max_ranks": 2 * 3, "pseudo_observations": 0}
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_canonical_pair_is_the_lexsorted_sample_ranked(self, data):
+        """_canonical_pair gives, byte for byte, the pseudo-observations of the
+        rows in np.lexsort((ys, xs)) order, on tied, untied and constant columns
+        that may hold both 0.0 and -0.0."""
+        from qad.pairwise import _canonical_pair
+
+        n = data.draw(st.integers(2, 30))
+
+        def column():
+            kind = data.draw(st.sampled_from(["tied", "untied", "constant"]))
+            if kind == "untied":
+                cells = st.lists(st.floats(-5, 5), min_size=n, max_size=n, unique=True)
+            else:
+                constant = [data.draw(st.sampled_from([0.0, -0.0]))]
+                pool = [0.0, -0.0, 1.5, -2.0] if kind == "tied" else constant
+                cells = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+            return np.array(data.draw(cells))
+
+        xs, ys = column(), column()
+        o = np.lexsort((ys, xs))
+        got = _canonical_pair(xs, ys)
+        want = pseudo_observations(BivariateSample(xs[o], ys[o]))
+        assert got.n_unique_u == np.unique(xs).size and got.n_unique_v == np.unique(ys).size
+        for name in ("us", "vs", "n", "n_unique_u", "n_unique_v",
+                     "ranks_u", "ranks_v", "ties_u", "ties_v"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_duplicate_column_closed_form(self):
         z = np.arange(100, dtype=float)
