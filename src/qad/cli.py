@@ -19,7 +19,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .copula import BivariateSample
+from .copula import BivariateSample, pseudo_observations
 from .errors import _THRESHOLDS, DataError, DegenerateInputError, _check_range
 from .estimator import MAX_PERMUTATIONS, QadOptions, _compute_with_boards
 from .pairwise import (
@@ -127,7 +127,7 @@ def _cmd_compute(args) -> int:
         resolution_override=args.resolution,
         threads=args.threads,
     )
-    result, (board_xy, board_yx) = _compute_with_boards(sample, opts)
+    result, (board_xy, board_yx) = _compute_with_boards(pseudo_observations(sample), opts)
     for w in result.warnings:
         _log(f"warning: {w}")
     if args.board_out:

@@ -145,24 +145,23 @@ class PseudoObservations:
     ties_v: np.ndarray = field(repr=False)
 
 
-def pseudo_observations(sample: BivariateSample) -> PseudoObservations:
+def pseudo_observations(sample: BivariateSample | PseudoObservations) -> PseudoObservations:
     """Transform a sample to the copula scale via empirical CDFs.
 
     u_i = F_n(x_i) = (number of x_j <= x_i) / n, and likewise for v_i.
     Ties are not broken; tied values share the same (maximal) rank.
+    Pseudo-observations are checked and ranked as the sample (us, vs).
     """
+    if isinstance(sample, PseudoObservations):
+        sample = BivariateSample(sample.us, sample.vs)
     return _ranked(*_max_ranks(sample.xs), *_max_ranks(sample.ys))
 
 
 def _ranked(ru, tu, rv, tv) -> PseudoObservations:
     """The pseudo-observations of the rows whose margins ``_max_ranks`` ranked
     as (ru, tu) and (rv, tv); distinct values and max-ranks match one to one."""
-    n = ru.size
-
-    def unique(r, t):
-        return n if t.max() == 1 else int(np.count_nonzero(np.bincount(r)))
-
-    return PseudoObservations(ru / n, rv / n, n, unique(ru, tu), unique(rv, tv), ru, rv, tu, tv)
+    n, nu, nv = ru.size, np.count_nonzero(np.bincount(ru)), np.count_nonzero(np.bincount(rv))
+    return PseudoObservations(ru / n, rv / n, n, int(nu), int(nv), ru, rv, tu, tv)
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,12 @@ def resolution_rule(n: int, n_unique_x: int, n_unique_y: int) -> int:
 
 
 def _prepare(sample, resolution=None):
-    """(pobs, N): the sample ranked once, or as given if it is a
-    ``PseudoObservations`` of 2 or more rows, and the resolution, the rule's
+    """(pobs, N) of ``_resolve`` for the sample ranked once."""
+    return _resolve(pseudo_observations(sample), resolution)
+
+
+def _resolve(pobs, resolution=None):
+    """(pobs, N): ``pobs``, of 2 or more rows, and the resolution, the rule's
     unless ``resolution`` overrides it; an override must lie in [1, ``MAX_RESOLUTION``].
 
     An untouched ``HEAP_HINT_BYTES`` block is allocated and freed: with glibc
@@ -152,9 +156,8 @@ def _prepare(sample, resolution=None):
     """
     if resolution is not None:
         _check_count("resolution override", resolution)
-    if sample.n < 2:
+    if pobs.n < 2:
         raise DegenerateInputError("need at least 2 observations")
-    pobs = sample if isinstance(sample, PseudoObservations) else pseudo_observations(sample)
     n, N = pobs.n, resolution
     if N is None:
         N = resolution_rule(n, pobs.n_unique_u, pobs.n_unique_v)
@@ -303,7 +306,7 @@ def _permutation_test(null, p_value, sample, permutations, seed, resolution, thr
 
 
 def permutation_test_dependence(
-    sample: BivariateSample | PseudoObservations,
+    sample: BivariateSample,
     permutations: int,
     seed: int,
     resolution: int | None = None,
@@ -321,7 +324,7 @@ def permutation_test_dependence(
 
 
 def permutation_test_asymmetry(
-    sample: BivariateSample | PseudoObservations,
+    sample: BivariateSample,
     permutations: int,
     seed: int,
     resolution: int | None = None,
@@ -340,22 +343,21 @@ def permutation_test_asymmetry(
     )
 
 
-def qad_compute(
-    sample: BivariateSample | PseudoObservations, opts: QadOptions = QadOptions()
-) -> QadResult:
+def qad_compute(sample: BivariateSample, opts: QadOptions = QadOptions()) -> QadResult:
     """Full estimation pipeline for one sample.
 
-    Ranks the sample once, unless it is given as pseudo-observations, fits
-    both directions' checkerboards from one empirical copula, evaluates zeta1
-    on each, and attaches permutation p-values, from the same ranks, if asked.
+    Ranks the sample once, fits both directions' checkerboards from one
+    empirical copula, evaluates zeta1 on each, and attaches permutation
+    p-values, from the same ranks, when requested.
     """
-    return _compute_with_boards(sample, opts)[0]
+    return _compute_with_boards(pseudo_observations(sample), opts)[0]
 
 
-def _compute_with_boards(sample: BivariateSample | PseudoObservations, opts: QadOptions):
-    """``qad_compute`` plus the boards it fitted: (QadResult, (board_xy, board_yx))."""
+def _compute_with_boards(pobs: PseudoObservations, opts: QadOptions):
+    """``qad_compute`` of the sample ranked as ``pobs``, plus the boards it
+    fitted: (QadResult, (board_xy, board_yx))."""
     warnings = []
-    pobs, resolution = _prepare(sample, opts.resolution_override)
+    pobs, resolution = _resolve(pobs, opts.resolution_override)
     n = pobs.n
     if resolution > n:
         warnings.append(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .copula import PseudoObservations, _max_ranks, _ranked
 from .errors import _THRESHOLDS, DataError, _check_count, _check_range
-from .estimator import QadOptions, qad_compute
+from .estimator import QadOptions, _compute_with_boards
 from .tables import DataTable
 
 __all__ = [
@@ -173,7 +173,7 @@ def pairwise_qad(
             warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {skip}")
             continue
         pair_seed = _pair_seed(opts.seed, table.names[f], table.names[j])
-        result = qad_compute(_canonical_pair(xs, ys), replace(opts, seed=pair_seed))
+        result = _compute_with_boards(_canonical_pair(xs, ys), replace(opts, seed=pair_seed))[0]
         q[f, j] = result.q_xy
         q[j, f] = result.q_yx
         asym[f, j] = result.asymmetry

@@ -132,14 +132,31 @@ class TestQadCompute:
             qad_compute(BivariateSample([1.0], [2.0]))
 
     @pytest.mark.parametrize("entry", [
-        qad_compute,
         lambda s: permutation_test_dependence(s, 9, 0),
         lambda s: permutation_test_asymmetry(s, 9, 0),
         prediction_table,
-    ], ids=["qad_compute", "dependence_test", "asymmetry_test", "prediction_table"])
+    ], ids=["dependence_test", "asymmetry_test", "prediction_table"])
     def test_one_row_refused_everywhere(self, entry):
         with pytest.raises(DegenerateInputError, match="need at least 2 observations"):
             entry(BivariateSample([1.0], [2.0]))
+
+    def test_pseudo_observations_are_scored_as_their_sample(self):
+        """Given pseudo-observations, the entry points rank (us, vs) again, so
+        fields that disagree with us and vs cannot change a result."""
+        from dataclasses import replace
+
+        from qad import pseudo_observations
+
+        rng = np.random.default_rng(8)
+        sample = BivariateSample(rng.random(60), np.round(rng.random(60), 1))
+        pobs = pseudo_observations(sample)
+        bad = replace(pobs, n=7, n_unique_v=1, ranks_u=pobs.ranks_u * 90, ties_v=pobs.ties_v[:3])
+        opts = QadOptions(permutations=9, seed=2)
+        assert qad_compute(bad, opts) == qad_compute(sample, opts)
+        assert permutation_test_asymmetry(bad, 9, 2) == permutation_test_asymmetry(sample, 9, 2)
+        assert pseudo_observations(bad).ranks_u.tobytes() == pobs.ranks_u.tobytes()
+        with pytest.raises(ValueError, match="equal length"):
+            qad_compute(replace(pobs, us=pobs.us[:5]))
 
     def test_constant_inputs_yield_zero_with_warning(self):
         result = qad_compute(BivariateSample([3.0] * 20, [3.0] * 20))
