@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple, fields
@@ -57,12 +58,21 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
+#: a CSV cell holding one of these is quoted; csv.writer with a "\n" line
+#: terminator would leave a bare carriage return unquoted
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _fmt(value, precision: int) -> str:
+    """``value`` as one CSV cell that csv.reader reads back: "" for None and NaN,
+    a float to ``precision`` significant digits, else ``str(value)``, quoted
+    with its quotes doubled if it holds a comma, a quote or a line break."""
     if value is None or (isinstance(value, float) and np.isnan(value)):
         return ""
     if isinstance(value, float):
         return f"{value:.{precision}g}"
-    return str(value)
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
 @contextmanager
@@ -170,7 +180,7 @@ def _cmd_pairwise(args) -> int:
             float(pw.p_q[f, j]),
             float(pw.asymmetry[f, j]),
             float(pw.p_asymmetry[f, j]),
-            None if np.isnan(pw.n_used[f, j]) else int(pw.n_used[f, j]),
+            int(pw.n_used[f, j]),
         )
         for f in range(pw.k)
         for j in range(pw.k)
@@ -290,7 +300,7 @@ def _sizes(text: str):
         sizes = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("sizes must be integers") from None
-    if not sizes or any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):
         raise argparse.ArgumentTypeError("sizes must be positive")
     return sizes
 

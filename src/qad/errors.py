@@ -50,11 +50,16 @@ def _check_range(name: str, value, low, high=math.inf):
 def _check_count(name: str, value, low=1, high=math.inf) -> int:
     """``int(value)``; TypeError unless ``value`` is an int or numpy integer (not
     a bool), ValueError outside [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    _check_integer(name, value)
     if not low <= value <= high:
         raise ValueError(f"{name} must be " + (f">= {low}" if value < low else f"<= {high}"))
     return int(value)
+
+
+def _check_integer(name: str, value):
+    """TypeError naming ``name`` unless ``value`` is an int or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def _check_number(name: str, value):

@@ -72,7 +72,7 @@ def _quantile_breaks(values: np.ndarray, resolution: int) -> np.ndarray:
     """Empirical quantiles at levels j/N using the ceiling order-statistic rule."""
     s = np.sort(values)
     n = s.size
-    idx = np.maximum((np.arange(resolution + 1) * n + resolution - 1) // resolution, 1)
+    idx = (np.arange(resolution + 1) * n + resolution - 1) // resolution
     breaks = s[idx - 1]
     breaks[0] = s[0]
     return breaks
@@ -111,7 +111,7 @@ def locate_strip(breaks: np.ndarray, value: float) -> int:
             f"[{float(breaks[0])!r}, {float(breaks[-1])!r}]"
         )
     i = int(np.searchsorted(breaks, value, side="right")) - 1
-    return min(max(i, 0), breaks.size - 2)
+    return min(i, breaks.size - 2)
 
 
 def predict(table: PredictionTable, value: float):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .copula import MAX_RESOLUTION, BivariateSample, CheckerboardCopula
-from .errors import _check_count
+from .errors import _check_count, _check_integer, _check_number
 from .estimator import QadOptions, qad_compute
 
 __all__ = [
@@ -64,6 +64,8 @@ class MarshallOlkin(CopulaModel):
     label = "mo"
 
     def __post_init__(self):
+        _check_number("alpha", self.alpha)
+        _check_number("beta", self.beta)
         if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
             raise ValueError("Marshall-Olkin parameters must lie in [0, 1]")
 
@@ -91,6 +93,7 @@ class FGM(CopulaModel):
     label = "fgm"
 
     def __post_init__(self):
+        _check_number("theta", self.theta)
         if not -1 <= self.theta <= 1:
             raise ValueError("FGM parameter must lie in [-1, 1]")
 
@@ -122,7 +125,8 @@ class CompletelyDependent(CopulaModel):
     MAX_SLOPE = 2**21
 
     def __post_init__(self):
-        if int(self.slope) != self.slope or not 1 <= self.slope <= self.MAX_SLOPE:
+        _check_integer("slope", self.slope)
+        if not 1 <= self.slope <= self.MAX_SLOPE:
             raise ValueError(f"slope must be a positive integer <= {self.MAX_SLOPE}")
 
     def _sample(self, rng, n):
@@ -239,6 +243,7 @@ class ShapeGenerator:
         if self.shape not in SHAPE_NAMES:
             raise ValueError(f"unknown shape {self.shape!r}; options: {SHAPE_NAMES}")
         _check_count("n", self.n, 2)
+        _check_number("noise", self.noise)
         # NaN fails; uniform() needs 2 * noise finite, as a float64 (a float16 overflows)
         if not 0 <= 2 * float(self.noise) < math.inf:
             raise ValueError("noise must be >= 0, and 2 * noise finite")

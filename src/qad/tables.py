@@ -35,6 +35,8 @@ class DataTable:
 
     def __post_init__(self):
         names = tuple(self.names)
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("column names must be strings")
         values = _real_array(self.values, "values")
         if values.ndim != 2:
             raise ValueError("values must be a 2-d array")

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -548,6 +549,33 @@ class TestNetworkCommand:
         for src, dst, data in g.edges(data=True):
             assert list(data) == ["weight"]
             assert f"{src},{dst},{data['weight']:.6g}" in edges
+
+
+def test_csv_cells_that_need_it_are_quoted(capsys, tmp_path):
+    """Column names holding a comma, a quote or a line break come back whole,
+    one per cell, from every CSV that names columns."""
+    names = ["height, cm", 'say "hi"', "line\nbreak", "cr\rname"]
+    x = np.random.default_rng(0).random(60)
+    values = np.column_stack([x, x**2, np.sin(3 * x), np.random.default_rng(1).random(60)])
+    path = tmp_path / "quoted.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerows([names, *values.tolist()])
+    for command in ("pairwise", "network"):
+        code, _, _ = run_cli(capsys, command, str(path), "--permutations", "99", "--seed", "2",
+                             "--out", str(tmp_path / command))
+        assert code == 0
+
+    def read(name):
+        with open(name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        return rows
+
+    pairs = {(a, b) for a in names for b in names if a != b}
+    assert {tuple(row[:2]) for row in read(tmp_path / "pairwise" / "pairwise_long.csv")} == pairs
+    assert {tuple(row[:2]) for row in read(tmp_path / "network" / "edges.csv")} <= pairs
+    for name in ("node_metrics.csv", "influence.csv"):
+        assert [row[0] for row in read(tmp_path / "network" / name)] == names
 
 
 class TestSimulateCommand:

@@ -759,6 +759,9 @@ class TestCheckerboardValidation:
         assert d["resolution"] == 2
         assert d["mass"] == [0.5, 0.0, 0.0, 0.5]
 
+    def test_repr_names_the_resolution(self):
+        assert repr(CheckerboardCopula.independence(3)) == "CheckerboardCopula(resolution=3)"
+
 
 class TestRangeAndCountChecks:
     """NaN fails every range check, and resolutions and strips are integer counts."""

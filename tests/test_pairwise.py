@@ -40,6 +40,11 @@ class TestDataTable:
         with pytest.raises(TypeError, match="real, not complex"):
             DataTable(("a", "b"), np.array([[1 + 1j, 2], [3, 4]]))
 
+    @pytest.mark.parametrize("names", [(1, 2), ("a", 1), ("a", None), (b"a", "b")])
+    def test_names_must_be_strings(self, names):
+        with pytest.raises(TypeError, match="column names must be strings"):
+            DataTable(names, np.zeros((3, 2)))
+
     def test_unknown_column(self):
         table = make_table()
         with pytest.raises(DataError, match="unknown column"):

@@ -35,6 +35,31 @@ class TestModelValidation:
             sample_model(Independence(), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: MarshallOlkin(True, False), "alpha must be a real number", id="mo-bool"),
+        pytest.param(lambda: MarshallOlkin(0.5, "0.5"), "beta must be a real number", id="mo-str"),
+        pytest.param(lambda: FGM("0.5"), "theta must be a real number", id="fgm-str"),
+        pytest.param(lambda: FGM(np.array([0.5, 0.2])), "theta must be a real number", id="fgm-array"),
+        pytest.param(lambda: CompletelyDependent(True), "slope must be an integer", id="cd-bool"),
+        pytest.param(lambda: CompletelyDependent(2.0), "slope must be an integer", id="cd-float"),
+        pytest.param(lambda: ShapeGenerator("linear", 10, "0.1"), "noise must be a real number",
+                     id="shape-str"),
+        pytest.param(lambda: ShapeGenerator("linear", 10, True), "noise must be a real number",
+                     id="shape-bool"),
+    ],
+)
+def test_parameters_must_be_numbers(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+def test_numpy_parameters_are_taken():
+    assert CompletelyDependent(np.int64(5)).params() == "slope=5"
+    assert FGM(np.float64(-0.5)).params() == "theta=-0.5"
+
+
 def test_params_strings():
     assert MarshallOlkin(0.3, 1).params() == "alpha=0.3;beta=1"
     assert MarshallOlkin(0.25, 0.5).params() == "alpha=0.25;beta=0.5"
@@ -162,6 +187,10 @@ class TestClosedForms:
         with pytest.raises(error, match="resolution"):
             analytic_checkerboard(FGM(0.5), resolution)
 
+    def test_independence_board_is_the_product(self):
+        board = analytic_checkerboard(Independence(), 8)
+        assert_allclose(board.mass, qad.CheckerboardCopula.independence(8).mass, atol=1e-15)
+
     def test_analytic_board_transpose_consistency(self):
         model = MarshallOlkin(0.3, 1.0)
         board = analytic_checkerboard(model, 256)
@@ -170,6 +199,11 @@ class TestClosedForms:
 
 
 class TestShapes:
+    def test_constant_coordinate_rescales_to_zero(self):
+        # both halves of a 2-point x_cross sit at x = 0
+        sample = generate_shape(ShapeGenerator("x_cross", 2), 0)
+        assert np.array_equal(sample.xs, np.zeros(2))
+
     def test_all_shapes_produce_unit_square_samples(self):
         for name in SHAPE_NAMES:
             gen = ShapeGenerator(name, 256, 0.1)
