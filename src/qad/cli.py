@@ -20,6 +20,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
+from ._workers import usable_cpus
 from .copula import BivariateSample, pseudo_observations
 from .errors import _THRESHOLDS, DataError, DegenerateInputError, _check_range
 from .estimator import MAX_PERMUTATIONS, QadOptions, _compute_with_boards
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--y", required=True)
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
-    seeded.add_argument("--threads", type=int, default=1)
+    seeded.add_argument("--threads", type=int, default=usable_cpus(),
+                        help="worker processes (default: the usable CPUs, %(default)s)")
     precise = argparse.ArgumentParser(add_help=False)
     precise.add_argument("--precision", type=int, default=6)
     ties = argparse.ArgumentParser(add_help=False)

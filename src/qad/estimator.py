@@ -12,8 +12,8 @@ Randomness is drawn from numpy's seeded PCG64 generator.  Replicate b of
 test stream t uses ``SeedSequence(entropy=seed, spawn_key=(t, b))`` (t = 0 for
 the dependence test, t = 1 for the asymmetry test), which makes results
 reproducible and independent of evaluation order.  The contract is unchanged;
-``_replicate_rngs`` computes the states in blocks.  Replicates are evaluated
-serially in chunks: one bincount builds the boards of a chunk and zeta1
+``_replicate_rngs`` computes the states in blocks.  Replicates are evaluated in
+chunks, split among workers: one bincount builds a chunk's boards and zeta1
 runs on the stack, with the same arithmetic per board as a single estimate.
 Both skip only work whose result is known exactly (bincount entries of weight
 +0.0, the root formula on cells without a sign change), so no float changes.
@@ -39,6 +39,7 @@ from .copula import (
     pseudo_observations,
     zeta1,
 )
+from ._workers import _map, usable_cpus
 from .errors import DegenerateInputError, _check_count
 
 __all__ = [
@@ -85,8 +86,8 @@ class QadOptions:
 
     permutations = 0 skips the significance tests (at most MAX_PERMUTATIONS);
     every field is an int or numpy integer.  ``resolution_override`` replaces
-    the default resolution rule (research use only).  ``threads`` is checked
-    but starts no thread: everything runs serially.
+    the default resolution rule (research use only).  ``threads`` caps the
+    worker processes a call forks (Linux only); results do not depend on it.
     """
 
     permutations: int = 0
@@ -239,17 +240,25 @@ def _observed_pairs(pobs, resolution):
     return _q_pairs(_permuted_boards(pobs, resolution)(_AS_IS))[0]
 
 
-def _null(pobs, N, B, seed, stream, draw, boards):
+def _null(pobs, N, B, seed, stream, draw, boards, threads):
     """(B, 2) replicate (q_xy, q_yx) pairs of one test: replicate b draws
     ``draw(rng)`` from its own generator of ``stream``, and ``boards`` builds
-    the boards of each chunk's stacked draws."""
-    rngs = _replicate_rngs(seed, stream, range(B))
-    # one Generator is reused, so each replicate draws before the next yield
-    stacks = (np.stack([draw(next(rngs)) for _ in c]) for c in _replicate_chunks(B, pobs.n, N))
-    return np.concatenate([_q_pairs(boards(stack)) for stack in stacks])
+    the boards of each chunk's stacked draws.  W workers take contiguous groups
+    of chunks, W at most ``threads`` and the full chunks (B // the first's size)."""
+    chunks = _replicate_chunks(B, pobs.n, N)
+    W = min(threads, B // len(chunks[0]), usable_cpus())
+
+    def group(g):
+        part = chunks[g * len(chunks) // W : (g + 1) * len(chunks) // W]
+        rngs = _replicate_rngs(seed, stream, range(part[0].start, part[-1].stop))
+        # one Generator is reused, so each replicate draws before the next yield
+        stacks = (np.stack([draw(next(rngs)) for _ in c]) for c in part)
+        return np.concatenate([_q_pairs(boards(stack)) for stack in stacks])
+
+    return np.concatenate(_map(group, range(W), W))
 
 
-def _dependence_null(pobs, N, permutations, seed):
+def _dependence_null(pobs, N, B, seed, threads=1):
     """(B, 2) replicate (q_xy, q_yx) pairs of the dependence test.
 
     Replicate b pairs the x side with the y side permuted by its own stream;
@@ -257,7 +266,7 @@ def _dependence_null(pobs, N, permutations, seed):
     """
     n = pobs.n
     boards = _permuted_boards(pobs, N)
-    return _null(pobs, N, permutations, seed, DEPENDENCE_STREAM, lambda r: r.permutation(n), boards)
+    return _null(pobs, N, B, seed, DEPENDENCE_STREAM, lambda r: r.permutation(n), boards, threads)
 
 
 def _stack_max_ranks(values: np.ndarray, n: int):
@@ -269,7 +278,7 @@ def _stack_max_ranks(values: np.ndarray, n: int):
     return ends.ravel()[keys], counts.ravel()[keys]
 
 
-def _asymmetry_null(pobs, N, permutations, seed):
+def _asymmetry_null(pobs, N, B, seed, threads=1):
     """(B, 2) replicate (q_xy, q_yx) pairs of the asymmetry test.
 
     Replicate b swaps the integer max-ranks of a random subset of pairs and
@@ -284,7 +293,7 @@ def _asymmetry_null(pobs, N, permutations, seed):
         rvb, tvb = _stack_max_ranks((ru + rv) - su, n)
         return _boards_from_ranks(rub, tub, rvb, tvb, n, N)
 
-    return _null(pobs, N, permutations, seed, ASYMMETRY_STREAM, lambda r: r.random(n) < 0.5, boards)
+    return _null(pobs, N, B, seed, ASYMMETRY_STREAM, lambda r: r.random(n) < 0.5, boards, threads)
 
 
 def _dependence_p(observed, null):
@@ -298,11 +307,11 @@ def _asymmetry_p(observed, null) -> float:
 
 
 def _permutation_test(null, p_value, sample, permutations, seed, resolution, threads):
-    """``p_value(observed pairs, null(pobs, N, permutations, seed))`` of one test."""
+    """``p_value(observed pairs, null(pobs, N, permutations, seed, threads))`` of one test."""
     _check_count("permutations", permutations, 1, MAX_PERMUTATIONS)
     QadOptions(permutations, seed, resolution, threads)
     pobs, N = _prepare(sample, resolution)
-    return p_value(_observed_pairs(pobs, N), null(pobs, N, permutations, seed))
+    return p_value(_observed_pairs(pobs, N), null(pobs, N, permutations, seed, threads))
 
 
 def permutation_test_dependence(
@@ -317,6 +326,7 @@ def permutation_test_dependence(
     Each replicate shuffles the y-sequence uniformly at random (breaking the
     pairing while preserving both margins) and recomputes the estimates at the
     same resolution; p = (1 + #{q_b >= q_observed}) / (B + 1) per direction.
+    ``threads`` worker processes share the replicates (see ``QadOptions``).
     """
     return _permutation_test(
         _dependence_null, _dependence_p, sample, permutations, seed, resolution, threads
@@ -336,7 +346,7 @@ def permutation_test_asymmetry(
     replicate swaps every pair's coordinates independently with probability
     1/2 and recomputes |a| at the same resolution; under exchangeability of
     the rank pair this randomization is the natural null for symmetry.
-    p = (1 + #{|a_b| >= |a_observed|}) / (B + 1).
+    p = (1 + #{|a_b| >= |a_observed|}) / (B + 1); ``threads`` as in ``QadOptions``.
     """
     return _permutation_test(
         _asymmetry_null, _asymmetry_p, sample, permutations, seed, resolution, threads
@@ -381,7 +391,7 @@ def _compute_with_boards(pobs: PseudoObservations, opts: QadOptions):
             observed = _q_pairs(board_xy.mass[None])[0]
         else:
             observed = _observed_pairs(pobs, resolution)
-        null_args = (pobs, resolution, opts.permutations, opts.seed)
+        null_args = (pobs, resolution, opts.permutations, opts.seed, opts.threads)
         p_q_xy, p_q_yx = _dependence_p(observed, _dependence_null(*null_args))
         p_asym = _asymmetry_p(observed, _asymmetry_null(*null_args))
 

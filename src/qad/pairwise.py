@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._workers import _map
 from .copula import PseudoObservations, _max_ranks, _ranked
 from .errors import _THRESHOLDS, DataError, _check_count, _check_range
 from .estimator import QadOptions, _compute_with_boards
@@ -146,16 +147,15 @@ def pairwise_qad(
     Rows with a missing value in either column of a pair are excluded for
     that pair only.  Pairs with fewer than 2 complete rows, or with an
     infinite value in a complete row, yield NaN cells and a warning naming
-    the pair and the reason rather than an error.  Pairs run one after
-    another; ``threads``, like ``opts.threads``, is checked but starts no
-    thread.
+    the pair and the reason rather than an error.  max(``threads``,
+    ``opts.threads``) worker processes share the pairs (see ``QadOptions``).
     """
-    _check_count("threads", threads)
+    threads = max(_check_count("threads", threads), opts.threads)
     k = table.n_columns
     if k < 2:
         raise DataError("need at least 2 columns")
     q, p_q, asym, p_asym, n_used = (np.full((k, k), np.nan) for _ in range(5))
-    warnings = []
+    warnings, pairs = [], []
 
     for f, j in itertools.combinations(range(k), 2):
         # canonical orientation and row order: results must not depend on
@@ -164,16 +164,18 @@ def pairwise_qad(
             f, j = j, f
         xs, ys = _complete_rows(table.values[:, f], table.values[:, j])
         n_used[f, j] = n_used[j, f] = xs.size
-        skip = None
-        if xs.size < 2:
-            skip = "fewer than 2 complete rows"
-        elif np.isinf(xs).any() or np.isinf(ys).any():
-            skip = "non-finite values"
-        if skip:
+        if xs.size < 2 or np.isinf(xs).any() or np.isinf(ys).any():
+            skip = "fewer than 2 complete rows" if xs.size < 2 else "non-finite values"
             warnings.append(f"pair ({table.names[f]}, {table.names[j]}): {skip}")
-            continue
+        else:
+            pairs.append((f, j))
+
+    def score(f, j):  # selects the rows again, so the task list holds no column copies
+        pobs = _canonical_pair(*_complete_rows(table.values[:, f], table.values[:, j]))
         pair_seed = _pair_seed(opts.seed, table.names[f], table.names[j])
-        result = _compute_with_boards(_canonical_pair(xs, ys), replace(opts, seed=pair_seed))[0]
+        return _compute_with_boards(pobs, replace(opts, seed=pair_seed, threads=1))[0]
+
+    for (f, j), result in zip(pairs, _map(lambda pair: score(*pair), pairs, threads)):
         q[f, j] = result.q_xy
         q[j, f] = result.q_yx
         asym[f, j] = result.asymmetry

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._workers import _map
 from .copula import MAX_RESOLUTION, BivariateSample, CheckerboardCopula
 from .errors import _check_count, _check_integer, _check_number
 from .estimator import QadOptions, qad_compute
@@ -367,8 +368,8 @@ def convergence_experiment(
 
     Replicate r at size index s draws its sample from
     ``SeedSequence(entropy=seed, spawn_key=(s, r))`` (``_replicate_sample``), so
-    rows are reproducible and independent of evaluation order.  Tasks run
-    serially; ``threads`` is checked but starts no thread.
+    rows are reproducible and independent of evaluation order.  ``threads``
+    worker processes share the (size, replicate) tasks (see ``QadOptions``).
     """
     _check_count("replicates", replicates)
     _check_count("seed", seed, 0)
@@ -380,5 +381,5 @@ def convergence_experiment(
         q = (result.q_xy, result.q_yx)
         return ExperimentRow(model.label, model.params(), n, rep, *q, ref_xy, ref_yx)
 
-    rows = (one(si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates))
-    return ExperimentResult(tuple(rows))
+    tasks = [(si, n, rep) for si, n in enumerate(sizes) for rep in range(replicates)]
+    return ExperimentResult(tuple(_map(lambda task: one(*task), tasks, threads)))

@@ -8,6 +8,8 @@ of replicate (q_xy, q_yx) pairs, in replicate order.
 """
 
 import hashlib
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qad import (
     resolution_rule,
 )
 from qad import copula
+from qad._workers import usable_cpus
 from qad.copula import (
     CheckerboardCopula,
     _boards_from_ranks,
@@ -181,6 +184,25 @@ def test_asymmetry_pinned(name):
     assert permutation_test_asymmetry(sample, B, seed) == p
 
 
+@pytest.mark.skipif(
+    sys.platform != "linux" or usable_cpus() < 2, reason="forks only on Linux with 2 or more CPUs"
+)
+@pytest.mark.parametrize(
+    "name", ["tie_free_n1000_b999", "rounded_ties", "zero_inflated_dense", "independent_n500"]
+)
+def test_pinned_at_two_workers(name, monkeypatch):
+    """The cases with at least two full chunks split their replicates over two
+    worker processes and still give the pinned nulls."""
+    make, B, seed = CASES[name]
+    _, dependence_sha, _, asymmetry_sha = PINNED[name]
+    pobs, N = _prepare(make())
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    assert _sha(_dependence_null(pobs, N, B, seed, threads=2)) == dependence_sha
+    assert _sha(_asymmetry_null(pobs, N, B, seed, threads=2)) == asymmetry_sha
+    assert len(forks) == 2
+
+
 def test_chunks_cover_every_replicate_once():
     for B, n, N in ((999, 1000, 31), (1, 1000, 31), (17, 1000, 31), (50, 2, 1), (5, 100, 500)):
         chunks = _replicate_chunks(B, n, N)
@@ -256,7 +278,7 @@ def test_stacked_boards_equal_single_boards(name):
         assert np.array_equal(shared[c], _board_from_ranks(ru, tu, rv[perm], tv[perm], n, N))
 
 
-def test_mixed_stack_takes_both_paths():
+def test_mixed_swaps_build_rows_of_both_kinds():
     sample = CASES["zero_inflated_mixed"][0]()
     n, N = sample.n, _resolution(sample)
     _, tub, _, tvb = _swapped_rank_stack(sample, 24, 3)
